@@ -1,6 +1,6 @@
 // External-sort optimization ladder: serial baseline, +parallel run
-// formation (8 threads), +loser-tree merge, +write-behind run output,
-// over TIGER-shaped relations at increasing sizes. Every rung must
+// formation (8 threads), +write-behind run output, over TIGER-shaped
+// relations at increasing sizes. Every rung must
 // produce byte-identical output pages and identical modeled io_seconds
 // to the serial baseline — asserted, not assumed — so the only thing the
 // ladder moves is host wall time (records/s) and io_wall_seconds. One
@@ -29,15 +29,13 @@ namespace {
 struct Rung {
   const char* name;
   bool parallel = false;
-  bool loser_tree = false;
   bool write_behind = false;
 };
 
 constexpr Rung kLadder[] = {
-    {"serial", false, false, false},
-    {"+parallel-runs", true, false, false},
-    {"+loser-tree", true, true, false},
-    {"+write-behind", true, true, true},
+    {"serial", false, false},
+    {"+parallel-runs", true, false},
+    {"+write-behind", true, true},
 };
 
 struct SortRun {
@@ -64,8 +62,6 @@ SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   config.parallel_runs = rung.parallel;
   config.threads = rung.parallel ? threads : 1;
   config.write_behind = rung.write_behind;
-  config.merge_structure = rung.loser_tree ? MergeStructure::kLoserTree
-                                           : MergeStructure::kBinaryHeap;
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch.get(),
                                            OrderByYLo(), nullptr,
                                            PrefetchContext(), config);
@@ -155,8 +151,7 @@ void Run(uint64_t max_n, uint32_t threads) {
       "Ladder contract: output pages and modeled io_seconds are "
       "byte-identical on every rung;\nonly wall time and io_wall move. "
       "The +parallel-runs rung's speedup tracks the\nmachine's core count "
-      "(run formation is compare-bound); +loser-tree is algorithmic\nand "
-      "helps on any machine.\n");
+      "(run formation is compare-bound).\n");
 }
 
 }  // namespace

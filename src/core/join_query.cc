@@ -33,11 +33,6 @@ Status MissingFeaturesError(size_t index, bool multiway) {
 
 }  // namespace
 
-JoinQuery& JoinQuery::WithFeatures(size_t index, const FeatureStore* store) {
-  features_.emplace_back(index, store);
-  return *this;
-}
-
 Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   const double eps = plan.predicate.epsilon;
   // The transform's buffers (collected rectangles, and for ST the
@@ -75,7 +70,7 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   expanded.extent = ExpandRectForDistance(original.extent(), eps);
 
   JoinInput replacement = JoinInput::FromStream(expanded);
-  if (algorithm_ == JoinAlgorithm::kST) {
+  if (spec_.algorithm == JoinAlgorithm::kST) {
     // ST traverses two indexes, so the expanded side gets a temporary
     // tree of its own (same parameters as the original index).
     SJ_ASSIGN_OR_RETURN(auto tree_pager,
@@ -109,71 +104,44 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
 }
 
 Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
+  SJ_RETURN_IF_ERROR(spec_.Validate());
   CompiledPlan plan;
-  plan.disk = joiner_->disk();
-  plan.options = options_;
-  plan.predicate = predicate_;
-
-  // Absurdly small budgets used to flow into divisions downstream; the
-  // floor is kMinMemoryBytes (64 KiB), below which the component floors
-  // no longer fit together.
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) +
-        " B (kMinMemoryBytes, 64 KiB); raise JoinQuery::MemoryBytes / "
-        "JoinOptions::memory_bytes");
-  }
-  plan.arbiter = arbiter_override_ != nullptr
-                     ? arbiter_override_
-                     : std::make_shared<MemoryArbiter>(
-                           options_.memory_bytes,
-                           options_.strict_memory_accounting);
+  plan.disk = spec_.joiner->disk();
+  plan.options = spec_.options;
+  plan.predicate = spec_.predicate;
+  plan.arbiter = spec_.MakeArbiter();
 
   if (multiway) {
-    if (inputs_.size() < 2) {
+    if (spec_.inputs.size() < 2) {
       return Status::InvalidArgument("multiway join needs at least 2 inputs");
     }
-  } else if (inputs_.size() != 2) {
+  } else if (spec_.inputs.size() != 2) {
     return Status::InvalidArgument(
         "pairwise JoinQuery::Run needs exactly 2 inputs (got " +
-        std::to_string(inputs_.size()) +
+        std::to_string(spec_.inputs.size()) +
         "); run k-way joins against a TupleSink");
   }
-  plan.inputs = inputs_;
+  plan.inputs = spec_.inputs;
   plan.prune_histograms.assign(plan.inputs.size(), nullptr);
-  for (const auto& [index, store] : features_) {
-    if (index >= plan.inputs.size()) {
-      return Status::InvalidArgument(
-          "JoinQuery::WithFeatures index " + std::to_string(index) +
-          " out of range: the query has " +
-          std::to_string(plan.inputs.size()) + " inputs");
-    }
+  for (const auto& [index, store] : spec_.features) {
     plan.inputs[index].WithFeatures(store);
   }
-  for (const auto& [index, hist] : histograms_) {
-    if (index >= plan.inputs.size()) {
-      return Status::InvalidArgument(
-          "JoinQuery::WithHistogram index " + std::to_string(index) +
-          " out of range: the query has " +
-          std::to_string(plan.inputs.size()) + " inputs");
-    }
+  for (const auto& [index, hist] : spec_.histograms) {
     plan.prune_histograms[index] = hist;
   }
 
   // Predicate rules (see join/predicate.h).
-  if (predicate_.kind == Predicate::kDistanceWithin &&
-      !(predicate_.epsilon >= 0.0)) {
+  if (spec_.predicate.kind == Predicate::kDistanceWithin &&
+      !(spec_.predicate.epsilon >= 0.0)) {
     return Status::InvalidArgument(
         "Predicate::kDistanceWithin needs a non-negative epsilon");
   }
-  if (multiway && predicate_.kind != Predicate::kIntersects) {
+  if (multiway && spec_.predicate.kind != Predicate::kIntersects) {
     return Status::InvalidArgument(
         std::string("k-way joins support Predicate::kIntersects only (got ") +
-        ToString(predicate_.kind) + ")");
+        ToString(spec_.predicate.kind) + ")");
   }
-  if (predicate_.kind == Predicate::kContains && !plan.options.refine) {
+  if (spec_.predicate.kind == Predicate::kContains && !plan.options.refine) {
     return Status::InvalidArgument(
         "Predicate::kContains is a refinement-stage predicate over exact "
         "geometry: enable Refine(true) and attach FeatureStores to both "
@@ -197,20 +165,20 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
     // Exact PBSM grid reporting only for Explain (plan_only): a PBSM
     // execution re-derives its grid from the same inputs anyway, and
     // the other executors never read it.
-    plan.decision =
-        joiner_->Plan(plan.inputs[0], plan.inputs[1], plan.prune_histogram(0),
-                      plan.prune_histogram(1), plan.options,
-                      /*exact_pbsm_preplan=*/plan_only);
-    if (algorithm_ != JoinAlgorithm::kAuto) {
-      plan.decision.algorithm = algorithm_;
+    plan.decision = spec_.joiner->Plan(
+        plan.inputs[0], plan.inputs[1], plan.prune_histogram(0),
+        plan.prune_histogram(1), plan.options,
+        /*exact_pbsm_preplan=*/plan_only);
+    if (spec_.algorithm != JoinAlgorithm::kAuto) {
+      plan.decision.algorithm = spec_.algorithm;
       plan.decision.memory = PlanJoinMemory(
-          algorithm_, plan.options,
+          spec_.algorithm, plan.options,
           (plan.inputs[0].count() + plan.inputs[1].count()) * sizeof(RectF));
       plan.decision.rationale =
-          std::string("algorithm forced to ") + ToString(algorithm_) +
+          std::string("algorithm forced to ") + ToString(spec_.algorithm) +
           " by the query";
     }
-    if (!plan_only && predicate_.kind == Predicate::kDistanceWithin) {
+    if (!plan_only && spec_.predicate.kind == Predicate::kDistanceWithin) {
       JoinMeasurement compile_measurement(plan.disk);
       SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan));
       const JoinStats compile_stats = compile_measurement.Finish();
@@ -235,16 +203,16 @@ Result<JoinStats> JoinQuery::Run(JoinSink* sink) {
   // query's budget (no shared workers, no shared pool), so the standalone
   // path and the multi-tenant path execute the same admission + execution
   // code and report errors through the same taxonomy.
-  ServiceOptions service_options;
-  service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
+  ServiceOptions service_options;  // Defaults: inline, no shared pool.
+  service_options.global_memory_bytes = spec_.options.memory_bytes;
   SpatialService service(service_options);
   return service.Run(*this, sink);
 }
 
-Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
+Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink,
+                                       JoinAlgorithm* algorithm) {
   SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/false));
+  if (algorithm != nullptr) *algorithm = plan.decision.algorithm;
   const JoinExecutor* executor = FindExecutor(plan.decision.algorithm);
   if (executor == nullptr) {
     return Status::Internal(

@@ -247,27 +247,11 @@ PipelineQuery& PipelineQuery::TopKByDistance(size_t k, float qx, float qy) {
   return *this;
 }
 
-const GridHistogram* PipelineQuery::HistogramFor(size_t index) const {
-  const GridHistogram* found = nullptr;
-  for (const auto& [i, hist] : histograms_) {
-    if (i == index) found = hist;
-  }
-  return found;
-}
-
-const FeatureStore* PipelineQuery::FeaturesFor(size_t index) const {
-  const FeatureStore* found = nullptr;
-  for (const auto& [i, store] : features_) {
-    if (i == index) found = store;
-  }
-  return found;
-}
-
 RectF PipelineQuery::ResolveAggregateExtent(const OpSpec& spec) const {
   if (spec.agg_extent.Valid()) return spec.agg_extent;
   if (has_window_ && window_.Valid()) return window_;
   RectF combined = RectF::Empty();
-  for (const JoinInput& input : inputs_) {
+  for (const JoinInput& input : spec_.inputs) {
     const RectF e = input.extent();
     if (!e.Valid()) continue;
     if (!combined.Valid()) {
@@ -283,52 +267,36 @@ RectF PipelineQuery::ResolveAggregateExtent(const OpSpec& spec) const {
 }
 
 Status PipelineQuery::Validate() const {
-  if (inputs_.empty()) {
+  if (spec_.inputs.empty()) {
     return Status::InvalidArgument(
         "PipelineQuery needs at least one Input(): one is a (window) scan "
         "source, two run the pairwise spatial join, three or more the k-way "
         "chain");
   }
-  if (inputs_.size() == 1) {
-    if (predicate_.kind != Predicate::kIntersects || predicate_.epsilon != 0.0) {
+  if (spec_.inputs.size() == 1) {
+    if (spec_.predicate.kind != Predicate::kIntersects ||
+        spec_.predicate.epsilon != 0.0) {
       return Status::InvalidArgument(
           "Predicate() applies to join sources; a single-input pipeline is a "
           "scan (add a second Input, or drop the predicate)");
     }
-    if (algorithm_ != JoinAlgorithm::kAuto) {
+    if (spec_.algorithm != JoinAlgorithm::kAuto) {
       return Status::InvalidArgument(
           "Algorithm() applies to join sources; a single-input pipeline is a "
           "scan");
     }
-    if (options_.refine) {
+    if (spec_.options.refine) {
       return Status::InvalidArgument(
           "Refine(true) applies to join sources; a single-input pipeline "
           "emits MBR records directly");
     }
   }
-  if (inputs_.size() > 2 && algorithm_ != JoinAlgorithm::kAuto) {
+  if (spec_.inputs.size() > 2 && spec_.algorithm != JoinAlgorithm::kAuto) {
     return Status::InvalidArgument(
         "Algorithm() applies to pairwise joins; the k-way chain has a single "
         "execution strategy");
   }
-  for (const auto& [index, hist] : histograms_) {
-    (void)hist;
-    if (index >= inputs_.size()) {
-      return Status::InvalidArgument(
-          "PipelineQuery::WithHistogram index " + std::to_string(index) +
-          " out of range: the pipeline has " + std::to_string(inputs_.size()) +
-          " inputs");
-    }
-  }
-  for (const auto& [index, store] : features_) {
-    (void)store;
-    if (index >= inputs_.size()) {
-      return Status::InvalidArgument(
-          "PipelineQuery::WithFeatures index " + std::to_string(index) +
-          " out of range: the pipeline has " + std::to_string(inputs_.size()) +
-          " inputs");
-    }
-  }
+  SJ_RETURN_IF_ERROR(spec_.Validate());
   for (const OpSpec& spec : ops_) {
     switch (spec.kind) {
       case OpSpec::Kind::kFilter:
@@ -400,28 +368,23 @@ std::vector<std::unique_ptr<PipelineOperator>> PipelineQuery::BuildChain()
 
 Result<PipelinePlan> PipelineQuery::Explain() {
   SJ_RETURN_IF_ERROR(Validate());
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) + " B (kMinMemoryBytes, 64 KiB)");
-  }
-  const CostModel& cost = joiner_->cost_model();
-  const bool join_source = inputs_.size() >= 2;
+  const CostModel& cost = spec_.joiner->cost_model();
+  const bool join_source = spec_.inputs.size() >= 2;
 
   PipelinePlan plan;
-  plan.memory.budget_bytes = options_.memory_bytes;
+  plan.memory.budget_bytes = spec_.options.memory_bytes;
 
   // Leaf estimates. A windowed pipeline scans each input; without a window
   // a join source consumes its inputs directly (the join's cost covers the
   // reads) and a scan source reads everything.
-  std::vector<double> leaf_rows(inputs_.size());
-  std::vector<double> leaf_cost(inputs_.size());
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const JoinInput& input = inputs_[i];
+  std::vector<double> leaf_rows(spec_.inputs.size());
+  std::vector<double> leaf_cost(spec_.inputs.size());
+  for (size_t i = 0; i < spec_.inputs.size(); ++i) {
+    const JoinInput& input = spec_.inputs[i];
     const RectF window = has_window_ ? window_ : input.extent();
     if (has_window_ || !join_source) {
-      leaf_rows[i] = WindowScan::EstimateRows(input, window, HistogramFor(i));
+      leaf_rows[i] =
+          WindowScan::EstimateRows(input, window, spec_.HistogramFor(i));
       leaf_cost[i] =
           input.indexed()
               ? cost.IndexWindowSeconds(input.pages(),
@@ -443,9 +406,9 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     source_rows = leaf_rows[0];
     source_cost = leaf_cost[0];
     source_name = "WindowScan";
-    source_detail = "input 0, " + std::to_string(inputs_[0].count()) +
+    source_detail = "input 0, " + std::to_string(spec_.inputs[0].count()) +
                     " records" + (has_window_ ? "" : ", full extent");
-    if (inputs_[0].indexed()) {
+    if (spec_.inputs[0].indexed()) {
       source_planned = static_cast<size_t>(
           std::max(1.0, source_rows) * sizeof(RectF));
     }
@@ -454,22 +417,15 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     // estimates costs, not cardinalities — min of the input estimates is
     // the documented stand-in until a join cardinality model exists).
     source_rows = leaf_rows[0];
-    for (size_t i = 1; i < inputs_.size(); ++i) {
+    for (size_t i = 1; i < spec_.inputs.size(); ++i) {
       source_rows = std::min(source_rows, leaf_rows[i]);
     }
-    if (inputs_.size() == 2) {
-      JoinQuery jq(*joiner_);
-      jq.mutable_options() = options_;
-      for (const JoinInput& input : inputs_) jq.Input(input);
-      for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
-      for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
-      jq.Predicate(predicate_.kind, predicate_.epsilon);
-      jq.Algorithm(algorithm_);
-      SJ_ASSIGN_OR_RETURN(plan.join, jq.Explain());
+    if (spec_.inputs.size() == 2) {
+      SJ_ASSIGN_OR_RETURN(plan.join, JoinQuery(spec_).Explain());
       plan.has_join = true;
       plan.memory = plan.join.memory;
       if (plan.memory.budget_bytes == 0) {
-        plan.memory.budget_bytes = options_.memory_bytes;
+        plan.memory.budget_bytes = spec_.options.memory_bytes;
       }
       switch (plan.join.algorithm) {
         case JoinAlgorithm::kPBSM:
@@ -487,26 +443,26 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       }
       source_name =
           std::string("SpatialJoin[") + ToString(plan.join.algorithm) + "]";
-      source_detail = std::string(ToString(predicate_.kind));
+      source_detail = std::string(ToString(spec_.predicate.kind));
     } else {
       // The k-way chain: no PlanDecision; price it as the streaming
       // sort-and-sweep it is.
       uint64_t total_pages = 0;
-      for (const JoinInput& input : inputs_) total_pages += input.pages();
-      source_cost = cost.SSSJSeconds(total_pages, options_.memory_bytes);
+      for (const JoinInput& input : spec_.inputs) total_pages += input.pages();
+      source_cost = cost.SSSJSeconds(total_pages, spec_.options.memory_bytes);
       source_name = "MultiwayJoin";
-      source_detail = std::to_string(inputs_.size()) + "-way chain";
+      source_detail = std::to_string(spec_.inputs.size()) + "-way chain";
     }
     // Rect resolution behind the join: one lookup table per input.
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      const uint64_t table_bytes = inputs_[i].count() * sizeof(RectF);
-      const bool fits = table_bytes <= options_.memory_bytes / 4;
+    for (size_t i = 0; i < spec_.inputs.size(); ++i) {
+      const uint64_t table_bytes = spec_.inputs[i].count() * sizeof(RectF);
+      const bool fits = table_bytes <= spec_.options.memory_bytes / 4;
       source_cost +=
-          fits ? cost.ScanSeconds(inputs_[i].pages())
-               : cost.RectResolveSeconds(
-                     static_cast<uint64_t>(source_rows), inputs_[i].pages());
+          fits ? cost.ScanSeconds(spec_.inputs[i].pages())
+               : cost.RectResolveSeconds(static_cast<uint64_t>(source_rows),
+                                         spec_.inputs[i].pages());
       source_planned += static_cast<size_t>(
-          std::min<uint64_t>(table_bytes, options_.memory_bytes / 4));
+          std::min<uint64_t>(table_bytes, spec_.options.memory_bytes / 4));
     }
     plan.memory.grants.push_back(
         MemoryGrantSpec{grants::kOpRectMap, source_planned});
@@ -540,7 +496,7 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         // Spill estimate under half the budget (the join holds the rest):
         // non-resident contributions stream out as 16-byte deltas and
         // replay once per extra band.
-        const size_t resident_budget = options_.memory_bytes / 2;
+        const size_t resident_budget = spec_.options.memory_bytes / 2;
         const uint64_t resident_rows = std::max<uint64_t>(
             1, std::min<uint64_t>(spec.agg_ny,
                                   resident_budget /
@@ -554,9 +510,9 @@ Result<PipelinePlan> PipelineQuery::Explain() {
               std::ceil(rows * spill_fraction * 16.0 / kPageSize));
           node.cost_seconds = cost.AggregateSpillSeconds(spill_pages, bands - 1);
         }
-        plan.memory.grants.push_back(
-            MemoryGrantSpec{grants::kOpAggregate,
-                            std::min(grid_bytes, options_.memory_bytes / 2)});
+        plan.memory.grants.push_back(MemoryGrantSpec{
+            grants::kOpAggregate,
+            std::min(grid_bytes, spec_.options.memory_bytes / 2)});
         rows = std::min(rows, static_cast<double>(cells));
         break;
       }
@@ -565,7 +521,7 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         node.detail = "k=" + std::to_string(spec.topk_k) + " from (" +
                       FmtG(spec.topk_x) + ", " + FmtG(spec.topk_y) + ")";
         node.planned_bytes =
-            spec.topk_k * (sizeof(double) + RowBytes(inputs_.size()));
+            spec.topk_k * (sizeof(double) + RowBytes(spec_.inputs.size()));
         plan.memory.grants.push_back(
             MemoryGrantSpec{grants::kOpTopK, node.planned_bytes});
         rows = std::min(rows, static_cast<double>(spec.topk_k));
@@ -594,11 +550,11 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     plan.operators.push_back(std::move(source));
   }
   if (join_source) {
-    for (size_t i = 0; i < inputs_.size(); ++i) {
+    for (size_t i = 0; i < spec_.inputs.size(); ++i) {
       OperatorPlan leaf;
       leaf.name = leaves_are_scans ? "WindowScan" : "Input";
       leaf.detail = "input " + std::to_string(i) + ", " +
-                    std::to_string(inputs_[i].count()) + " records";
+                    std::to_string(spec_.inputs[i].count()) + " records";
       leaf.depth = depth + 1;
       leaf.est_rows = leaf_rows[i];
       leaf.cost_seconds = leaf_cost[i];
@@ -617,31 +573,17 @@ Result<PipelineStats> PipelineQuery::Run(RowSink* sink) {
   // The single-query service, exactly like JoinQuery::Run: an inline
   // scheduler owning this query's budget, so standalone pipelines and
   // multi-tenant submissions execute the same admission + execution path.
-  ServiceOptions service_options;
-  service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
+  ServiceOptions service_options;  // Defaults: inline, no shared pool.
+  service_options.global_memory_bytes = spec_.options.memory_bytes;
   SpatialService service(service_options);
   return service.Run(*this, sink);
 }
 
 Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   SJ_RETURN_IF_ERROR(Validate());
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) +
-        " B (kMinMemoryBytes, 64 KiB); raise PipelineQuery::MemoryBytes / "
-        "JoinOptions::memory_bytes");
-  }
-  std::shared_ptr<MemoryArbiter> arbiter =
-      arbiter_override_ != nullptr
-          ? arbiter_override_
-          : std::make_shared<MemoryArbiter>(options_.memory_bytes,
-                                            options_.strict_memory_accounting);
+  const std::shared_ptr<MemoryArbiter> arbiter = spec_.MakeArbiter();
 
-  DiskModel* main_disk = joiner_->disk();
+  DiskModel* main_disk = spec_.joiner->disk();
   // The pipeline's own scratch disk: rect maps and aggregation spills live
   // here so their traffic — some of it concurrent with the join, whose
   // stats are measured as a main-disk delta — is accounted exactly once.
@@ -649,8 +591,8 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   PipelineContext ctx;
   ctx.disk = &op_disk;
   ctx.arbiter = arbiter.get();
-  ctx.storage = options_.storage.get();
-  ctx.prefetch = PrefetchContextOf(options_);
+  ctx.storage = spec_.options.storage.get();
+  ctx.prefetch = PrefetchContextOf(spec_.options);
 
   PipelineStats out;
   ThreadCpuTimer cpu;
@@ -666,15 +608,15 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   }
   for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Open(ctx));
 
-  if (inputs_.size() == 1) {
+  if (spec_.inputs.size() == 1) {
     RectF window = window_;
     if (!has_window_) {
-      window = inputs_[0].extent();
+      window = spec_.inputs[0].extent();
       if (!window.Valid()) {
-        SJ_ASSIGN_OR_RETURN(window, EnsureExtent(inputs_[0].stream()));
+        SJ_ASSIGN_OR_RETURN(window, EnsureExtent(spec_.inputs[0].stream()));
       }
     }
-    WindowScan scan(inputs_[0], window, HistogramFor(0));
+    WindowScan scan(spec_.inputs[0], window, spec_.HistogramFor(0));
     SJ_RETURN_IF_ERROR(scan.Run(ctx, head));
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
     out.operators.push_back(scan.stats());
@@ -682,11 +624,11 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     // Windowed-overlay plan: reduce every input to its in-window records
     // before the join. Ids are preserved, so the user's histograms remain
     // conservative pruners and FeatureStores stay valid for refinement.
-    std::vector<JoinInput> join_inputs = inputs_;
+    std::vector<JoinInput> join_inputs = spec_.inputs;
     std::vector<std::unique_ptr<Pager>> owned_pagers;
     if (has_window_) {
-      for (size_t i = 0; i < inputs_.size(); ++i) {
-        WindowScan scan(inputs_[i], window_, HistogramFor(i));
+      for (size_t i = 0; i < spec_.inputs.size(); ++i) {
+        WindowScan scan(spec_.inputs[i], window_, spec_.HistogramFor(i));
         SJ_ASSIGN_OR_RETURN(
             std::unique_ptr<Pager> pager,
             MakePager(ctx.storage, main_disk,
@@ -714,19 +656,18 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
                               ctx.storage, ctx.prefetch,
                               "pipeline.in" + std::to_string(i),
-                              SortConfigOf(options_)));
+                              SortConfigOf(spec_.options)));
       resolver_ptrs.push_back(resolver.get());
       resolvers.push_back(std::move(resolver));
     }
     JoinRowAdapter adapter(resolver_ptrs, head);
 
-    JoinQuery jq(*joiner_);
-    jq.mutable_options() = options_;
-    for (const JoinInput& input : join_inputs) jq.Input(input);
-    for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
-    for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
-    jq.Predicate(predicate_.kind, predicate_.epsilon);
-    jq.UseArbiter(arbiter);
+    // The join source is the pipeline's own spec over the (windowed)
+    // inputs, executing under the pipeline's arbiter.
+    QuerySpec join_spec = spec_;
+    join_spec.inputs = join_inputs;
+    join_spec.arbiter_override = arbiter;
+    JoinQuery jq(std::move(join_spec));
 
     // Close the preparation segment: the join's own measurement (which
     // includes parallel shards the main delta would miss) takes over.
@@ -734,24 +675,21 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     out.disk += main_disk->stats() - main_mark;
 
     uint64_t join_rows = 0;
-    if (join_inputs.size() == 2) {
-      jq.Algorithm(algorithm_);
-      SJ_ASSIGN_OR_RETURN(PlanDecision decision, jq.Explain());
-      out.join_algorithm = decision.algorithm;
-      SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
+    auto fold_join = [&](const auto& join_stats) {
       out.disk += join_stats.disk;
       out.host_cpu_seconds += join_stats.host_cpu_seconds;
       out.candidate_count = join_stats.candidate_count;
       out.refine_pages_read = join_stats.refine_pages_read;
       join_rows = join_stats.output_count;
+    };
+    if (join_inputs.size() == 2) {
+      SJ_ASSIGN_OR_RETURN(JoinStats join_stats,
+                          jq.RunDirect(&adapter, &out.join_algorithm));
+      fold_join(join_stats);
     } else {
       SJ_ASSIGN_OR_RETURN(MultiwayStats join_stats,
                           jq.Run(static_cast<TupleSink*>(&adapter)));
-      out.disk += join_stats.disk;
-      out.host_cpu_seconds += join_stats.host_cpu_seconds;
-      out.candidate_count = join_stats.candidate_count;
-      out.refine_pages_read = join_stats.refine_pages_read;
-      join_rows = join_stats.output_count;
+      fold_join(join_stats);
     }
     cpu.Restart();
     main_mark = main_disk->stats();

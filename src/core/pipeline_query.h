@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/spatial_join.h"
-#include "join/executor.h"
-#include "join/predicate.h"
+#include "core/query_spec.h"
 #include "op/operators.h"
 #include "op/row.h"
 
@@ -123,16 +121,9 @@ std::ostream& operator<<(std::ostream& os, const PipelineStats& stats);
 /// runs standalone or through a SpatialService sharing the global budget,
 /// buffer pool, and worker pool. Rebuildable and single-shot state-free
 /// like JoinQuery: Run() may be called repeatedly.
-class PipelineQuery {
+class PipelineQuery : public QueryBuilder<PipelineQuery> {
  public:
-  explicit PipelineQuery(SpatialJoiner& joiner)
-      : joiner_(&joiner), options_(joiner.options()) {}
-
-  /// Appends a source input (position = order of the Input calls).
-  PipelineQuery& Input(const JoinInput& input) {
-    inputs_.push_back(input);
-    return *this;
-  }
+  explicit PipelineQuery(SpatialJoiner& joiner) : QueryBuilder(joiner) {}
 
   /// Restricts the pipeline to records intersecting `window`: a scan
   /// source emits only matching records; a join source window-scans every
@@ -140,33 +131,6 @@ class PipelineQuery {
   PipelineQuery& Window(const RectF& window) {
     window_ = window;
     has_window_ = true;
-    return *this;
-  }
-
-  /// Attaches an occupancy histogram to input `index` (planner estimates
-  /// and scan/traversal pruning; must outlive Run()).
-  PipelineQuery& WithHistogram(size_t index, const GridHistogram* histogram) {
-    if (histogram != nullptr) histograms_.emplace_back(index, histogram);
-    return *this;
-  }
-
-  /// Attaches exact geometry to input `index` (required by Refine(true);
-  /// must outlive Run()).
-  PipelineQuery& WithFeatures(size_t index, const FeatureStore* store) {
-    features_.emplace_back(index, store);
-    return *this;
-  }
-
-  /// Join predicate (join sources only; defaults to kIntersects).
-  PipelineQuery& Predicate(sj::Predicate kind, double epsilon = 0.0) {
-    predicate_.kind = kind;
-    predicate_.epsilon = epsilon;
-    return *this;
-  }
-
-  /// Forces the join's filter algorithm (default kAuto).
-  PipelineQuery& Algorithm(JoinAlgorithm algorithm) {
-    algorithm_ = algorithm;
     return *this;
   }
 
@@ -188,31 +152,6 @@ class PipelineQuery {
 
   /// Keeps the k rows nearest to (qx, qy), emitted in ascending distance.
   PipelineQuery& TopKByDistance(size_t k, float qx, float qy);
-
-  // Per-query JoinOptions overrides (the subset pipelines commonly need;
-  // mutable_options() covers every knob).
-  PipelineQuery& Refine(bool on) { return Mutate([&](JoinOptions& o) { o.refine = on; }); }
-  PipelineQuery& Threads(uint32_t n) { return Mutate([&](JoinOptions& o) { o.num_threads = n; }); }
-  PipelineQuery& MemoryBytes(size_t bytes) { return Mutate([&](JoinOptions& o) { o.memory_bytes = bytes; }); }
-  PipelineQuery& Storage(std::shared_ptr<StorageFactory> factory) { return Mutate([&](JoinOptions& o) { o.storage = std::move(factory); }); }
-  PipelineQuery& Prefetch(bool on) { return Mutate([&](JoinOptions& o) { o.prefetch = on; }); }
-  /// Parallel run formation in the pipeline's external sorts; identical
-  /// output and modeled io_seconds at any thread count.
-  PipelineQuery& SortParallelRuns(bool on) { return Mutate([&](JoinOptions& o) { o.sort_parallel_runs = on; }); }
-  /// External-merge fan-in (0 = auto; see JoinOptions::merge_fan_in).
-  PipelineQuery& MergeFanIn(uint32_t fan_in) { return Mutate([&](JoinOptions& o) { o.merge_fan_in = fan_in; }); }
-  /// Write-behind run output: like Prefetch, moves io_wall_seconds only.
-  PipelineQuery& SortWriteBehind(bool on) { return Mutate([&](JoinOptions& o) { o.sort_write_behind = on; }); }
-
-  JoinOptions& mutable_options() { return options_; }
-  const JoinOptions& options() const { return options_; }
-
-  /// Service plumbing: execute against an externally carved arbiter (see
-  /// JoinQuery::UseArbiter).
-  PipelineQuery& UseArbiter(std::shared_ptr<MemoryArbiter> arbiter) {
-    arbiter_override_ = std::move(arbiter);
-    return *this;
-  }
 
   /// Compiles the pipeline and returns the costed operator tree without
   /// executing anything (EXPLAIN).
@@ -252,26 +191,9 @@ class PipelineQuery {
   /// Instantiates the downstream chain (source-first order).
   std::vector<std::unique_ptr<PipelineOperator>> BuildChain() const;
 
-  template <typename Fn>
-  PipelineQuery& Mutate(Fn&& fn) {
-    fn(options_);
-    return *this;
-  }
-
-  const GridHistogram* HistogramFor(size_t index) const;
-  const FeatureStore* FeaturesFor(size_t index) const;
-
-  SpatialJoiner* joiner_;
-  std::vector<JoinInput> inputs_;
-  std::vector<std::pair<size_t, const GridHistogram*>> histograms_;
-  std::vector<std::pair<size_t, const FeatureStore*>> features_;
   RectF window_ = RectF::Empty();
   bool has_window_ = false;
-  PredicateSpec predicate_;
-  JoinAlgorithm algorithm_ = JoinAlgorithm::kAuto;
-  JoinOptions options_;
   std::vector<OpSpec> ops_;
-  std::shared_ptr<MemoryArbiter> arbiter_override_;
 };
 
 }  // namespace sj

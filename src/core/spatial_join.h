@@ -1,8 +1,6 @@
 #ifndef USJ_CORE_SPATIAL_JOIN_H_
 #define USJ_CORE_SPATIAL_JOIN_H_
 
-#include <vector>
-
 #include "core/cost_model.h"
 #include "histogram/grid_histogram.h"
 #include "join/executor.h"
@@ -19,10 +17,10 @@ namespace sj {
 /// JoinOptions for every query posed against it.
 ///
 /// Queries are built with JoinQuery (core/join_query.h), which compiles a
-/// CompiledPlan and dispatches to the ExecutorRegistry; the Join and
-/// MultiwayJoin methods below are thin compatibility wrappers over that
-/// pipeline. The joiner itself only plans (Plan — pure cost-model
-/// arithmetic, no I/O) and carries state; it is never mutated by a query,
+/// CompiledPlan and dispatches to the ExecutorRegistry, or with
+/// PipelineQuery (core/pipeline_query.h) for operator pipelines. The
+/// joiner itself only plans (Plan — pure cost-model arithmetic, no I/O)
+/// and carries state; it is never mutated by a query,
 /// so one joiner can serve many concurrent query *descriptions* (actual
 /// executions share the DiskModel and must be serialized by the caller).
 class SpatialJoiner {
@@ -56,33 +54,6 @@ class SpatialJoiner {
   PlanDecision Plan(const JoinInput& a, const JoinInput& b,
                     const GridHistogram* hist_a, const GridHistogram* hist_b,
                     const JoinOptions& options, bool exact_pbsm_preplan) const;
-
-  /// Legacy pairwise entry point — equivalent to
-  ///
-  ///   JoinQuery(*this).Input(a).Input(b)
-  ///       .WithHistogram(0, hist_a).WithHistogram(1, hist_b)
-  ///       .Algorithm(algorithm).Run(sink)
-  ///
-  /// New code should build the JoinQuery directly: it attaches histograms
-  /// to inputs instead of a positional tail, overrides any option per
-  /// query, and selects non-intersection predicates.
-  [[deprecated(
-      "build a JoinQuery instead: JoinQuery(joiner).Input(a).Input(b)"
-      ".Run(sink) — see the migration table in README.md")]]
-  Result<JoinStats> Join(const JoinInput& a, const JoinInput& b,
-                         JoinSink* sink,
-                         JoinAlgorithm algorithm = JoinAlgorithm::kAuto,
-                         const GridHistogram* hist_a = nullptr,
-                         const GridHistogram* hist_b = nullptr);
-
-  /// Legacy k-way entry point (§4's extension) — equivalent to a
-  /// JoinQuery with every element of `inputs` added via Input() and run
-  /// against a TupleSink.
-  [[deprecated(
-      "build a JoinQuery instead: add each input with .Input() and Run "
-      "against a TupleSink — see the migration table in README.md")]]
-  Result<MultiwayStats> MultiwayJoin(const std::vector<JoinInput>& inputs,
-                                     TupleSink* sink);
 
   const CostModel& cost_model() const { return cost_model_; }
   DiskModel* disk() const { return disk_; }

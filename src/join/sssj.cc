@@ -106,12 +106,10 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
         grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
     MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
                                               /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
+                                              prefetch);
     MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
                                               /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
+                                              prefetch);
     sweep_stats =
         SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
                           source_a, source_b, emit);

@@ -1,6 +1,9 @@
 #include "service/spatial_service.h"
 
 #include <algorithm>
+#include <any>
+#include <functional>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -21,33 +24,32 @@ struct ServiceGate {
   SpatialService* service = nullptr;
 };
 
-}  // namespace service_internal
-
-using service_internal::ServiceGate;
-
-/// One submission's shared state. Completion (result/state/cv) is
+/// One submission's shared state. Completion (outcome/state/cv) is
 /// self-contained on the ticket so handles stay valid independently of
 /// the service's internals; handle-side calls back into the service go
 /// through the gate (see ServiceGate). Lock order: gate mu before
 /// service mu_ before ticket mu, never the reverse.
-struct SubmittedQuery::Ticket {
-  Ticket(std::shared_ptr<ServiceGate> gate_in, const JoinQuery& query_in,
-         JoinSink* sink_in)
-      : gate(std::move(gate_in)), query(query_in), sink(sink_in) {}
-  Ticket(std::shared_ptr<ServiceGate> gate_in,
-         const PipelineQuery& pipeline_in, RowSink* sink_in)
-      : gate(std::move(gate_in)), pipeline(pipeline_in), row_sink(sink_in) {}
+struct Ticket {
+  /// What a finished submission reports: its status and, when that is
+  /// OK, the stats of the handle's type (JoinStats or PipelineStats).
+  struct Outcome {
+    Status status;
+    std::any stats;
+  };
+
+  explicit Ticket(std::shared_ptr<ServiceGate> gate_in)
+      : gate(std::move(gate_in)) {}
 
   std::shared_ptr<ServiceGate> gate;
   uint64_t id = 0;
-  /// Exactly one of these is set — the ticket's kind. Private copies;
-  /// referenced inputs must outlive the submission.
-  std::optional<JoinQuery> query;
-  std::optional<PipelineQuery> pipeline;
-  JoinSink* sink = nullptr;
-  RowSink* row_sink = nullptr;
   // Immutable once the ticket is published (set in Submit before the
   // ticket reaches the queue or a handle).
+  /// The run step, bound at Submit to a private copy of the query and to
+  /// its sink (referenced inputs must outlive the submission): executes
+  /// the query under this ticket's admission outcome. Only Execute calls
+  /// it, and the service destructor waits for every running ticket, so
+  /// the service it captures is alive whenever it runs.
+  std::function<Outcome(const Ticket&)> run;
   size_t requested_bytes = 0;
   bool strict = false;
   bool allow_degraded = true;
@@ -66,51 +68,39 @@ struct SubmittedQuery::Ticket {
   bool cancelled_by_handle = false;
   uint32_t pool_client = 0;
   std::shared_ptr<MemoryArbiter> arbiter;  // Carved child; reset when done.
-  std::optional<sj::Result<JoinStats>> result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
+  Outcome outcome;
 
-  bool is_pipeline() const { return pipeline.has_value(); }
-
-  /// Caller must hold `mu`.
-  void DoneLocked() {
+  /// The one completion path — success, execution error, rejection,
+  /// cancel, deadline, shutdown. Caller must hold `mu`.
+  void FinishLocked(Outcome finished) {
     // Single-finisher invariant: Cancel/expiry only resolve kQueued
     // tickets, Execute only finishes the kRunning ticket it admitted —
-    // so the result is emplaced exactly once and references returned by
-    // Result() stay valid.
+    // so the outcome is written exactly once.
     SJ_CHECK(state != State::kDone) << "double finish on query ticket";
+    outcome = std::move(finished);
     state = State::kDone;
     arbiter.reset();
     cv.notify_all();
   }
-  void FinishLocked(sj::Result<JoinStats> r) {
-    result.emplace(std::move(r));
-    DoneLocked();
-  }
-  void FinishPipelineLocked(sj::Result<PipelineStats> r) {
-    pipeline_result.emplace(std::move(r));
-    DoneLocked();
-  }
-  /// The kind-agnostic error path (rejection, cancel, deadline,
-  /// shutdown): routes the Status to whichever result slot this ticket
-  /// reports through.
-  void FinishErrorLocked(Status s) {
-    if (is_pipeline()) {
-      FinishPipelineLocked(std::move(s));
-    } else {
-      FinishLocked(std::move(s));
-    }
+  void FinishLocked(Status error) {
+    FinishLocked(Outcome{std::move(error), {}});
   }
 };
 
-using Ticket = SubmittedQuery::Ticket;
+}  // namespace service_internal
 
-bool SubmittedQuery::done() const {
+using service_internal::ServiceGate;
+using service_internal::Ticket;
+
+template <typename Stats>
+bool Submitted<Stats>::done() const {
   if (ticket_ == nullptr) return true;
   std::lock_guard<std::mutex> lock(ticket_->mu);
   return ticket_->state == Ticket::State::kDone;
 }
 
-void SubmittedQuery::Wait() const {
+template <typename Stats>
+void Submitted<Stats>::Wait() const {
   if (ticket_ == nullptr) return;
   // Expiry is the scheduler's job: the service's reaper thread wakes at
   // the earliest queued deadline and resolves expired tickets (and its
@@ -121,20 +111,56 @@ void SubmittedQuery::Wait() const {
                    [this] { return ticket_->state == Ticket::State::kDone; });
 }
 
-/// The handle-side cancel shared by SubmittedQuery and SubmittedPipeline:
-/// resolve a still-queued ticket with Cancelled, then notify the
-/// scheduler through the gate so the queue slot frees immediately and, if
-/// this was the head, the queries behind it get an admission pass now
-/// rather than at the next submit/completion. The gate pins the service:
-/// once its destructor nulls the pointer, the destructor's drain has
-/// already folded this ticket's cancel into the counters.
+template <typename Stats>
+bool Submitted<Stats>::Cancel() {
+  return SpatialService::CancelTicket(ticket_);
+}
+
+template <typename Stats>
+sj::Result<Stats> Submitted<Stats>::Result() const {
+  SJ_CHECK(ticket_ != nullptr) << "Result() on a default-constructed handle";
+  Wait();
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  if (!ticket_->outcome.status.ok()) return ticket_->outcome.status;
+  return std::any_cast<const Stats&>(ticket_->outcome.stats);
+}
+
+template <typename Stats>
+size_t Submitted<Stats>::granted_bytes() const {
+  if (ticket_ == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  return ticket_->granted_bytes;
+}
+
+template <typename Stats>
+bool Submitted<Stats>::degraded() const {
+  if (ticket_ == nullptr) return false;
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  return ticket_->degraded;
+}
+
+template <typename Stats>
+uint64_t Submitted<Stats>::id() const {
+  return ticket_ == nullptr ? 0 : ticket_->id;
+}
+
+template class Submitted<JoinStats>;
+template class Submitted<PipelineStats>;
+
+/// The handle-side cancel: resolve a still-queued ticket with Cancelled,
+/// then notify the scheduler through the gate so the queue slot frees
+/// immediately and, if this was the head, the queries behind it get an
+/// admission pass now rather than at the next submit/completion. The
+/// gate pins the service: once its destructor nulls the pointer, the
+/// destructor's drain has already folded this ticket's cancel into the
+/// counters.
 bool SpatialService::CancelTicket(const std::shared_ptr<Ticket>& ticket) {
   if (ticket == nullptr) return false;
   {
     std::lock_guard<std::mutex> lock(ticket->mu);
     if (ticket->state != Ticket::State::kQueued) return false;
     ticket->cancelled_by_handle = true;
-    ticket->FinishErrorLocked(Status::Cancelled(
+    ticket->FinishLocked(Status::Cancelled(
         "query #" + std::to_string(ticket->id) +
         " cancelled while queued for admission"));
   }
@@ -149,71 +175,6 @@ bool SpatialService::CancelTicket(const std::shared_ptr<Ticket>& ticket) {
   // running_, which the service destructor waits on before returning.
   if (!to_dispatch.empty()) service->Dispatch(std::move(to_dispatch));
   return true;
-}
-
-bool SubmittedQuery::Cancel() { return SpatialService::CancelTicket(ticket_); }
-
-const sj::Result<JoinStats>& SubmittedQuery::Result() const {
-  SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedQuery";
-  Wait();
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return *ticket_->result;
-}
-
-size_t SubmittedQuery::granted_bytes() const {
-  if (ticket_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->granted_bytes;
-}
-
-bool SubmittedQuery::degraded() const {
-  if (ticket_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->degraded;
-}
-
-uint64_t SubmittedQuery::id() const {
-  return ticket_ == nullptr ? 0 : ticket_->id;
-}
-
-bool SubmittedPipeline::done() const {
-  if (ticket_ == nullptr) return true;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->state == Ticket::State::kDone;
-}
-
-void SubmittedPipeline::Wait() const {
-  if (ticket_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(ticket_->mu);
-  ticket_->cv.wait(lock,
-                   [this] { return ticket_->state == Ticket::State::kDone; });
-}
-
-bool SubmittedPipeline::Cancel() {
-  return SpatialService::CancelTicket(ticket_);
-}
-
-const sj::Result<PipelineStats>& SubmittedPipeline::Result() const {
-  SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedPipeline";
-  Wait();
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return *ticket_->pipeline_result;
-}
-
-size_t SubmittedPipeline::granted_bytes() const {
-  if (ticket_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->granted_bytes;
-}
-
-bool SubmittedPipeline::degraded() const {
-  if (ticket_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->degraded;
-}
-
-uint64_t SubmittedPipeline::id() const {
-  return ticket_ == nullptr ? 0 : ticket_->id;
 }
 
 SpatialService::SpatialService(const ServiceOptions& options)
@@ -243,7 +204,7 @@ SpatialService::~SpatialService() {
     for (const std::shared_ptr<Ticket>& t : queue_) {
       std::lock_guard<std::mutex> tl(t->mu);
       if (t->state == Ticket::State::kQueued) {
-        t->FinishErrorLocked(Status::Cancelled(
+        t->FinishLocked(Status::Cancelled(
             "query #" + std::to_string(t->id) +
             " cancelled: the service shut down before admission"));
         counters_.cancelled++;
@@ -297,23 +258,18 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
     ReapLocked(Clock::now());
     {
       std::lock_guard<std::mutex> tl(ticket->mu);
-      if (ticket->requested_bytes < kMinMemoryBytes) {
-        // Misuse, not contention: same floor and code path the query layer
-        // enforces (see JoinQuery::Compile).
+      Status floor = CheckMemoryFloor(ticket->requested_bytes);
+      if (!floor.ok()) {
+        // Misuse, not contention: the floor the query layer enforces.
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::FailedPrecondition(
-            "memory budget " + std::to_string(ticket->requested_bytes) +
-            " B is below the supported floor of " +
-            std::to_string(kMinMemoryBytes) +
-            " B (kMinMemoryBytes, 64 KiB); raise the query's MemoryBytes / "
-            "JoinOptions::memory_bytes"));
+        ticket->FinishLocked(std::move(floor));
         return;
       }
       if (ticket->requested_bytes > options_.global_memory_bytes) {
         // Unsatisfiable at any queue position: no amount of waiting frees
         // more than the whole global budget.
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
+        ticket->FinishLocked(Status::ResourceExhausted(
             "query asks for " + std::to_string(ticket->requested_bytes) +
             " B but the service's whole global budget is " +
             std::to_string(options_.global_memory_bytes) +
@@ -323,13 +279,13 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
       }
       if (shutting_down_) {
         counters_.rejected++;
-        ticket->FinishErrorLocked(
+        ticket->FinishLocked(
             Status::FailedPrecondition("service is shutting down"));
         return;
       }
       if (queue_.size() >= options_.admission_queue_limit) {
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
+        ticket->FinishLocked(Status::ResourceExhausted(
             "admission queue is full (" +
             std::to_string(options_.admission_queue_limit) +
             " queries already waiting)"));
@@ -347,13 +303,41 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
   Dispatch(std::move(to_dispatch));
 }
 
-SubmittedQuery SpatialService::Submit(const JoinQuery& query, JoinSink* sink,
-                                      const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, query, sink);
+template <typename Stats, typename Query, typename Sink>
+Submitted<Stats> SpatialService::SubmitQuery(const Query& query, Sink* sink,
+                                             const SubmitOptions& submit) {
+  auto ticket = std::make_shared<Ticket>(gate_);
   ticket->requested_bytes = query.options().memory_bytes;
   ticket->strict = query.options().strict_memory_accounting;
+  ticket->run = [this, query, sink](const Ticket& admitted) {
+    // The query runs with its options rewritten to the admission outcome:
+    // granted budget, the carved child arbiter, and the shared pool(s).
+    // The copy is local so its reference to the child arbiter is gone
+    // before completion bookkeeping — FinishLocked's arbiter reset must
+    // be the last reference, or the carved budget would still look
+    // occupied when Execute re-runs admission.
+    Query q = query;
+    q.MemoryBytes(admitted.granted_bytes).UseArbiter(admitted.arbiter);
+    JoinOptions& o = q.mutable_options();
+    if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
+    if (buffer_pool_ != nullptr) {
+      o.shared_buffer_pool = buffer_pool_.get();
+      o.buffer_pool_client = admitted.pool_client;
+    }
+    // The service's storage backend is the default; a query that chose
+    // its own keeps it.
+    if (o.storage == nullptr) o.storage = options_.storage;
+    sj::Result<Stats> result = q.RunDirect(sink);
+    if (!result.ok()) return Ticket::Outcome{result.status(), {}};
+    return Ticket::Outcome{Status::OK(), std::move(result).value()};
+  };
   SubmitTicket(ticket, submit);
-  return SubmittedQuery(std::move(ticket));
+  return Submitted<Stats>(std::move(ticket));
+}
+
+SubmittedQuery SpatialService::Submit(const JoinQuery& query, JoinSink* sink,
+                                      const SubmitOptions& submit) {
+  return SubmitQuery<JoinStats>(query, sink, submit);
 }
 
 sj::Result<JoinStats> SpatialService::Run(const JoinQuery& query,
@@ -365,11 +349,7 @@ sj::Result<JoinStats> SpatialService::Run(const JoinQuery& query,
 SubmittedPipeline SpatialService::Submit(const PipelineQuery& pipeline,
                                          RowSink* sink,
                                          const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, pipeline, sink);
-  ticket->requested_bytes = pipeline.options().memory_bytes;
-  ticket->strict = pipeline.options().strict_memory_accounting;
-  SubmitTicket(ticket, submit);
-  return SubmittedPipeline(std::move(ticket));
+  return SubmitQuery<PipelineStats>(pipeline, sink, submit);
 }
 
 sj::Result<PipelineStats> SpatialService::Run(const PipelineQuery& pipeline,
@@ -390,7 +370,7 @@ void SpatialService::ReapLocked(Clock::time_point now) {
     }
     if (now >= t->deadline) {
       counters_.deadline_expired++;
-      t->FinishErrorLocked(Status::DeadlineExceeded(
+      t->FinishLocked(Status::DeadlineExceeded(
           "query #" + std::to_string(t->id) +
           " expired after waiting for admission; the global memory "
           "budget stayed occupied past the queue deadline"));
@@ -534,48 +514,14 @@ void SpatialService::Dispatch(
 }
 
 void SpatialService::Execute(const std::shared_ptr<Ticket>& ticket) {
-  // The query runs with its options rewritten to the admission outcome:
-  // granted budget, the carved child arbiter, and the shared pool(s). The
-  // copy lives inside the lambda so its reference to the child arbiter is
-  // gone before completion bookkeeping — FinishLocked's arbiter reset must
-  // be the last reference, or the carved budget would still look occupied
-  // when AdmitLocked below re-runs admission.
-  auto rewrite = [&](auto& query) {
-    query.MemoryBytes(ticket->granted_bytes);
-    query.UseArbiter(ticket->arbiter);
-    JoinOptions& o = query.mutable_options();
-    if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
-    if (buffer_pool_ != nullptr) {
-      o.shared_buffer_pool = buffer_pool_.get();
-      o.buffer_pool_client = ticket->pool_client;
-    }
-    // The service's storage backend is the default; a query that chose
-    // its own keeps it.
-    if (o.storage == nullptr) o.storage = options_.storage;
-  };
-  std::optional<sj::Result<JoinStats>> join_result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
-  if (ticket->is_pipeline()) {
-    PipelineQuery query = *ticket->pipeline;
-    rewrite(query);
-    pipeline_result.emplace(query.RunDirect(ticket->row_sink));
-  } else {
-    JoinQuery query = *ticket->query;
-    rewrite(query);
-    join_result.emplace(query.RunDirect(ticket->sink));
-  }
+  Ticket::Outcome outcome = ticket->run(*ticket);
 
   std::vector<std::shared_ptr<Ticket>> to_dispatch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     {
       std::lock_guard<std::mutex> tl(ticket->mu);
-      // Frees the carved budget.
-      if (ticket->is_pipeline()) {
-        ticket->FinishPipelineLocked(std::move(*pipeline_result));
-      } else {
-        ticket->FinishLocked(std::move(*join_result));
-      }
+      ticket->FinishLocked(std::move(outcome));  // Frees the carved budget.
     }
     running_--;
     idle_cv_.notify_all();

@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +24,7 @@ namespace sj {
 
 namespace service_internal {
 struct ServiceGate;  // Handle-side liveness gate; defined in the .cc.
+struct Ticket;       // Shared submission state; defined in the .cc.
 }  // namespace service_internal
 
 /// Process-wide resource configuration for a SpatialService.
@@ -97,33 +97,35 @@ struct ServiceStats {
 
 class SpatialService;
 
-/// A future-like handle to one submitted query. Copyable (all copies
-/// refer to the same submission); safe to outlive the service (the
-/// service's destructor resolves every outstanding submission first).
-class SubmittedQuery {
+/// A future-like handle to one submission, typed by what the submission
+/// reports: SubmittedQuery for a JoinQuery, SubmittedPipeline for a
+/// PipelineQuery (the only two instantiations; the members are defined
+/// in the service's .cc). Copyable (all copies refer to the same
+/// submission); safe to outlive the service (the service's destructor
+/// resolves every outstanding submission first).
+template <typename Stats>
+class Submitted {
  public:
-  struct Ticket;  // Shared submission state; defined in the service's .cc.
+  Submitted() = default;
 
-  SubmittedQuery() = default;
-
-  /// True once the query finished, failed, was cancelled, or expired.
+  /// True once the submission finished, failed, was cancelled, or expired.
   bool done() const;
 
   /// Blocks until done (helping is not needed: the service's reaper
-  /// thread expires a queued query at its deadline, a running one
+  /// thread expires a queued submission at its deadline, a running one
   /// finishes, and the service destructor resolves everything queued).
   void Wait() const;
 
-  /// Best-effort cancel: a still-queued query completes immediately with
-  /// Cancelled and returns true; a running or finished query is left
+  /// Best-effort cancel: a still-queued submission completes immediately
+  /// with Cancelled and returns true; a running or finished one is left
   /// alone and returns false (results are delivered normally).
   bool Cancel();
 
-  /// Waits, then returns the outcome: JoinStats on success, or the
-  /// admission/execution error (FailedPrecondition for misuse,
+  /// Waits, then returns a copy of the outcome: the stats on success, or
+  /// the admission/execution error (FailedPrecondition for misuse,
   /// ResourceExhausted for rejection, DeadlineExceeded for queue timeout,
   /// Cancelled, or whatever the executors returned).
-  const sj::Result<JoinStats>& Result() const;
+  sj::Result<Stats> Result() const;
 
   /// Admission outcome (0 / false while still queued).
   size_t granted_bytes() const;
@@ -132,37 +134,13 @@ class SubmittedQuery {
 
  private:
   friend class SpatialService;
-  explicit SubmittedQuery(std::shared_ptr<Ticket> ticket)
+  explicit Submitted(std::shared_ptr<service_internal::Ticket> ticket)
       : ticket_(std::move(ticket)) {}
-  std::shared_ptr<Ticket> ticket_;
+  std::shared_ptr<service_internal::Ticket> ticket_;
 };
 
-/// A future-like handle to one submitted pipeline — the PipelineQuery
-/// counterpart of SubmittedQuery, sharing the same ticket machinery
-/// (admission, degraded grants, cancel, deadlines) with a
-/// PipelineStats-typed outcome.
-class SubmittedPipeline {
- public:
-  SubmittedPipeline() = default;
-
-  bool done() const;
-  void Wait() const;
-  /// Best-effort cancel of a still-queued pipeline (see
-  /// SubmittedQuery::Cancel).
-  bool Cancel();
-  /// Waits, then returns PipelineStats or the admission/execution error.
-  const sj::Result<PipelineStats>& Result() const;
-
-  size_t granted_bytes() const;
-  bool degraded() const;
-  uint64_t id() const;
-
- private:
-  friend class SpatialService;
-  explicit SubmittedPipeline(std::shared_ptr<SubmittedQuery::Ticket> ticket)
-      : ticket_(std::move(ticket)) {}
-  std::shared_ptr<SubmittedQuery::Ticket> ticket_;
-};
+using SubmittedQuery = Submitted<JoinStats>;
+using SubmittedPipeline = Submitted<PipelineStats>;
 
 /// The process-wide spatial-join service: one global memory budget, one
 /// shared 2Q buffer pool, one morsel-style worker pool, and a FIFO
@@ -181,7 +159,8 @@ class SubmittedPipeline {
 /// Execution: each admitted query runs as one task on the shared worker
 /// pool (inline on the submitter when worker_threads == 0) with its
 /// options rewritten to the granted budget, the shared pool/threads, and
-/// the carved arbiter — then flows through exactly the JoinQuery pipeline.
+/// the carved arbiter — then flows through exactly the path the query
+/// runs standalone.
 /// Because a query's parallel phases submit task groups to the same pool
 /// and group waits help (run their own queued tasks), any number of
 /// queries make progress on a fixed set of threads without deadlock.
@@ -232,6 +211,7 @@ class SpatialService {
 
  private:
   using Clock = std::chrono::steady_clock;
+  using Ticket = service_internal::Ticket;
 
   enum class AdmitOutcome {
     kAdmitted,           // Committed: dispatch it.
@@ -246,28 +226,30 @@ class SpatialService {
   /// Reaps, then admits every queued ticket the FIFO head allows (full
   /// or degraded). Returns the tickets to dispatch; caller must hold mu_
   /// and dispatch after unlocking.
-  std::vector<std::shared_ptr<SubmittedQuery::Ticket>> AdmitLocked();
+  std::vector<std::shared_ptr<Ticket>> AdmitLocked();
   /// Carves the child arbiter etc. for `t` if the free budget allows,
   /// rechecking under the ticket lock that no Cancel() raced the commit.
   /// Caller must hold mu_.
-  AdmitOutcome TryAdmitOneLocked(
-      const std::shared_ptr<SubmittedQuery::Ticket>& t);
-  void Dispatch(std::vector<std::shared_ptr<SubmittedQuery::Ticket>> tickets);
-  void Execute(const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
-  /// The shared Submit body: validation, enqueue, and admission for a
-  /// fully-constructed ticket (join or pipeline — the ticket knows).
-  void SubmitTicket(const std::shared_ptr<SubmittedQuery::Ticket>& ticket,
+  AdmitOutcome TryAdmitOneLocked(const std::shared_ptr<Ticket>& t);
+  void Dispatch(std::vector<std::shared_ptr<Ticket>> tickets);
+  void Execute(const std::shared_ptr<Ticket>& ticket);
+  /// The shared Submit body: a ticket whose run step is bound to a
+  /// private copy of `query` and to `sink`, then SubmitTicket.
+  template <typename Stats, typename Query, typename Sink>
+  Submitted<Stats> SubmitQuery(const Query& query, Sink* sink,
+                               const SubmitOptions& submit);
+  /// Validation, enqueue, and admission for a fully-constructed ticket.
+  void SubmitTicket(const std::shared_ptr<Ticket>& ticket,
                     const SubmitOptions& submit);
 
-  friend class SubmittedQuery;
-  friend class SubmittedPipeline;
-  /// Handle-side cancel shared by both handle types (see the .cc).
-  static bool CancelTicket(
-      const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
+  template <typename Stats>
+  friend class Submitted;
+  /// Handle-side cancel (see the .cc).
+  static bool CancelTicket(const std::shared_ptr<Ticket>& ticket);
   /// Cancel()'s gate-guarded notification: reap the cancelled ticket's
   /// queue slot now and re-run admission for whatever was behind it.
   /// Returns the tickets to dispatch (already counted in running_).
-  std::vector<std::shared_ptr<SubmittedQuery::Ticket>> ReapAfterHandleCancel();
+  std::vector<std::shared_ptr<Ticket>> ReapAfterHandleCancel();
 
   /// Starts the reaper thread on the first submission that actually
   /// queues. Caller must hold mu_.
@@ -287,7 +269,7 @@ class SpatialService {
   std::unique_ptr<BufferPool> buffer_pool_;   // Null when pages == 0.
 
   mutable std::mutex mu_;
-  std::deque<std::shared_ptr<SubmittedQuery::Ticket>> queue_;
+  std::deque<std::shared_ptr<Ticket>> queue_;
   uint64_t next_id_ = 1;
   size_t running_ = 0;
   bool shutting_down_ = false;

@@ -404,15 +404,14 @@ class ExternalSorter {
           plan.read_block_pages));
       heads.push_back(readers[i]->Next());
     }
-    MergeSelector<T, Less> selector(std::move(heads), less_,
-                                    config_.merge_structure);
+    LoserTree<T, Less> tree(std::move(heads), less_);
     StreamWriter<T> writer(output, layout_.write_block_pages,
                            WriteBehindOf());
     const PageId first = writer.first_page();
-    while (!selector.Empty()) {
-      const size_t source = selector.TopSource();
-      writer.Append(selector.Top());
-      selector.ReplaceTop(readers[source]->Next());
+    while (!tree.Empty()) {
+      const size_t source = tree.TopSource();
+      writer.Append(tree.Top());
+      tree.ReplaceTop(readers[source]->Next());
     }
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
     return StreamRange{output, first, n};
@@ -456,38 +455,41 @@ class ExternalSorter {
 /// SSSJ's fuse_merge_sweep option plugs this directly into the plane
 /// sweep, eliminating one write pass and one read pass per input relative
 /// to the paper's materializing implementation. Selection runs on the
-/// same stable loser tree as the materializing merge (or the heap
-/// baseline when asked).
+/// same stable loser tree as the materializing merge.
 template <typename T, typename Less>
 class MergingReader {
  public:
   MergingReader(std::vector<StreamRange> runs, uint32_t block_pages,
                 Less less = Less(),
-                const PrefetchContext& prefetch = PrefetchContext(),
-                MergeStructure structure = MergeStructure::kLoserTree) {
-    readers_.reserve(runs.size());
-    std::vector<std::optional<T>> heads;
-    heads.reserve(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-      readers_.push_back(std::make_unique<PrefetchingStreamReader<T>>(
-          runs[i].pager, runs[i].first_page, runs[i].count, prefetch,
-          block_pages));
-      heads.push_back(readers_[i]->Next());
-    }
-    selector_.emplace(std::move(heads), less, structure);
-  }
+                const PrefetchContext& prefetch = PrefetchContext())
+      : tree_(OpenRuns(runs, block_pages, prefetch), std::move(less)) {}
 
   std::optional<T> Next() {
-    if (selector_->Empty()) return std::nullopt;
-    const size_t source = selector_->TopSource();
-    T out = selector_->Top();
-    selector_->ReplaceTop(readers_[source]->Next());
+    if (tree_.Empty()) return std::nullopt;
+    const size_t source = tree_.TopSource();
+    T out = tree_.Top();
+    tree_.ReplaceTop(readers_[source]->Next());
     return out;
   }
 
  private:
+  /// Opens one reader per run (readers_ is constructed before tree_) and
+  /// returns each run's first record as the tree's initial heads.
+  std::vector<std::optional<T>> OpenRuns(const std::vector<StreamRange>& runs,
+                                         uint32_t block_pages,
+                                         const PrefetchContext& prefetch) {
+    std::vector<std::optional<T>> heads;
+    heads.reserve(runs.size());
+    for (const StreamRange& run : runs) {
+      readers_.push_back(std::make_unique<PrefetchingStreamReader<T>>(
+          run.pager, run.first_page, run.count, prefetch, block_pages));
+      heads.push_back(readers_.back()->Next());
+    }
+    return heads;
+  }
+
   std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers_;
-  std::optional<MergeSelector<T, Less>> selector_;
+  LoserTree<T, Less> tree_;
 };
 
 /// Convenience: sorts RectF records by lower y coordinate (the sweep

@@ -1,22 +1,11 @@
 #include "sort/sort_config.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace sj {
 namespace {
 
-// -1 = no override; 0/1 = forced off/on.
-std::atomic<int> g_serial_override{-1};
-
-bool EnvForcesSerial() {
-  static const bool forced = [] {
-    const char* env = std::getenv("SJ_SORT_MODE");
-    return env != nullptr && std::strcmp(env, "serial") == 0;
-  }();
-  return forced;
-}
+std::atomic<bool> g_serial_forced{false};
 
 }  // namespace
 
@@ -24,18 +13,16 @@ bool SortSerialOnly() {
 #if defined(SJ_SORT_SERIAL_ONLY)
   return true;
 #else
-  const int override = g_serial_override.load(std::memory_order_relaxed);
-  if (override >= 0) return override != 0;
-  return EnvForcesSerial();
+  return g_serial_forced.load(std::memory_order_relaxed);
 #endif
 }
 
 void ForceSortSerialOnly(bool on) {
-  g_serial_override.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_serial_forced.store(on, std::memory_order_relaxed);
 }
 
 void ResetSortSerialOnly() {
-  g_serial_override.store(-1, std::memory_order_relaxed);
+  g_serial_forced.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace sj

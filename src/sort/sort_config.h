@@ -8,21 +8,6 @@ namespace sj {
 
 class ThreadPool;
 
-/// Which selection structure the k-way merges use.
-///
-///  * kLoserTree  — tournament tree: one leaf-to-root path with exactly
-///                  ceil(log2 k) comparisons per record.
-///  * kBinaryHeap — the classic pop_heap/push_heap pair (two sifts per
-///                  record); kept as the bench baseline.
-///
-/// Both are stable on (key, source index), so they produce identical
-/// output for any comparator — the bench's identical-output assertion
-/// checks this, not just the total orders the joins happen to use.
-enum class MergeStructure {
-  kLoserTree,
-  kBinaryHeap,
-};
-
 /// How one external sort runs. Derived from JoinOptions at every adoption
 /// point (SortConfigOf in join/join_types.h); defaults reproduce a safe
 /// standalone sort. None of these knobs changes the sorted output or the
@@ -47,17 +32,13 @@ struct SortConfig {
   /// that does not add a merge pass (and grow the per-run read block to
   /// fill the budget); explicit values are clamped to [2, MaxFanIn].
   uint32_t merge_fan_in = 0;
-  /// Merge selection structure (bench ladder knob; not exposed on
-  /// JoinOptions).
-  MergeStructure merge_structure = MergeStructure::kLoserTree;
 };
 
 /// True when the sort concurrency escape hatch is engaged, resolved like
 /// the sweep-kernel scalar gate:
 ///  1. builds with -DSJ_SORT_SERIAL_ONLY always report true;
-///  2. ForceSortSerialOnly (tests) overrides everything else;
-///  3. the SJ_SORT_MODE environment variable ("serial" forces it);
-///  4. default: false.
+///  2. ForceSortSerialOnly (tests, benches) sets or clears it;
+///  3. default: false.
 bool SortSerialOnly();
 
 /// Test hook: force (or un-force) the serial-only gate process-wide
@@ -65,7 +46,7 @@ bool SortSerialOnly();
 /// in flight; sorters latch their config when constructed.
 void ForceSortSerialOnly(bool on);
 
-/// Clears the ForceSortSerialOnly override, back to env/default.
+/// Clears the ForceSortSerialOnly override, back to the default.
 void ResetSortSerialOnly();
 
 /// The config a sorter actually runs: under the serial-only gate the

@@ -24,6 +24,7 @@
 namespace sj {
 namespace {
 
+using testing_util::BlockingSink;
 using testing_util::BruteForcePairs;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
@@ -185,6 +186,54 @@ TEST(PipelineService, RejectsOversizedAndUndersizedPipelines) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// A queued pipeline is cancelled and expired exactly like a queued join:
+// both kinds share one ticket and one handle template.
+TEST(PipelineService, QueuedPipelineCancelAndDeadline) {
+  ServiceFixture f;
+  ServiceOptions options;
+  options.global_memory_bytes = 8u << 20;
+  options.worker_threads = 1;
+  SpatialService service(options);
+
+  // A running join holds the whole budget, so pipelines queue behind it.
+  BlockingSink blocker;
+  JoinQuery holder_query(*f.joiner);
+  holder_query.Input(JoinInput::FromStream(f.da))
+      .Input(JoinInput::FromStream(f.db))
+      .MemoryBytes(8u << 20);
+  SubmittedQuery holder = service.Submit(holder_query, &blocker);
+  blocker.WaitEntered();
+
+  SubmitOptions no_degrade;
+  no_degrade.allow_degraded = false;
+  CollectingRowSink cancelled_sink;
+  SubmittedPipeline cancelled =
+      service.Submit(f.HeatmapQuery(8, 8), &cancelled_sink, no_degrade);
+  EXPECT_FALSE(cancelled.done());  // Queued: nothing to run it with.
+  EXPECT_TRUE(cancelled.Cancel());
+  EXPECT_FALSE(cancelled.Cancel());  // Already resolved.
+  EXPECT_EQ(cancelled.Result().status().code(), StatusCode::kCancelled);
+
+  SubmitOptions short_deadline = no_degrade;
+  short_deadline.queue_deadline_seconds = 0.05;
+  CollectingRowSink expired_sink;
+  SubmittedPipeline expired =
+      service.Submit(f.HeatmapQuery(8, 8), &expired_sink, short_deadline);
+  // The reaper expires it while the holder still blocks.
+  EXPECT_EQ(expired.Result().status().code(), StatusCode::kDeadlineExceeded);
+
+  const ServiceStats queued = service.stats();
+  EXPECT_EQ(queued.cancelled, 1u);
+  EXPECT_EQ(queued.deadline_expired, 1u);
+
+  blocker.Release();
+  ASSERT_TRUE(holder.Result().ok());
+  EXPECT_TRUE(cancelled_sink.rows().empty());  // Neither pipeline ran.
+  EXPECT_TRUE(expired_sink.rows().empty());
+  // Drained: every carved budget went back to the global arbiter.
+  EXPECT_EQ(service.stats().global_in_use_bytes, 0u);
 }
 
 TEST(PipelineService, HandleOutlivesServiceSafely) {

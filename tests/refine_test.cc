@@ -109,7 +109,7 @@ TEST(FeatureStore, FetchBatchReadsEachPageOnce) {
   }
   // An out-of-range id anywhere in the batch fails the whole fetch.
   std::vector<Segment> unused;
-  EXPECT_FALSE(store->FetchBatch({ObjectId{5}, ObjectId{2000}}, &unused).ok());
+  EXPECT_FALSE(store->FetchBatch(std::vector<ObjectId>{5, 2000}, &unused).ok());
 }
 
 TEST(FeatureStore, FetchBatchChargesExternalShard) {
@@ -124,7 +124,7 @@ TEST(FeatureStore, FetchBatchChargesExternalShard) {
   const uint32_t dev = shard.RegisterDevice("refine.test");
   const DiskStats own_before = td.disk.stats();
   std::vector<Segment> out;
-  auto pages = store->FetchBatch({ObjectId{0}, ObjectId{999}}, &out, &shard,
+  auto pages = store->FetchBatch(std::vector<ObjectId>{0, 999}, &out, &shard,
                                  dev);
   ASSERT_TRUE(pages.ok());
   EXPECT_EQ(*pages, 2u);

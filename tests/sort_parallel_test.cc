@@ -76,7 +76,6 @@ struct RunConfig {
   uint32_t fan_in = 0;  // 0 = auto.
   bool file_backend = false;
   bool prefetch = false;
-  MergeStructure structure = MergeStructure::kLoserTree;
 };
 
 /// One full sort under `config` on a fresh DiskModel; ~10 runs at the
@@ -110,7 +109,6 @@ RunOutcome RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   sort_config.threads = config.threads;
   sort_config.write_behind = config.write_behind;
   sort_config.merge_fan_in = config.fan_in;
-  sort_config.merge_structure = config.structure;
   PrefetchContext prefetch;
   prefetch.enabled = config.prefetch;
 
@@ -210,23 +208,6 @@ TEST(ParallelSortDifferential, AllConfigsMatchSerialReference) {
   }
 }
 
-// The binary-heap baseline must be record-identical to the loser tree
-// (both stable on (key, source)) — the bench ladder's identical-output
-// assertion depends on it.
-TEST(ParallelSortDifferential, HeapAndLoserTreeOutputsMatch) {
-  const size_t memory = 2000 * sizeof(RectF);
-  auto rects = UniformRects(20000, RectF(0, 0, 500, 500), 3.0f, /*seed=*/7);
-  RunConfig tree_config;
-  RunConfig heap_config;
-  heap_config.structure = MergeStructure::kBinaryHeap;
-  const RunOutcome tree = RunOnce(rects, memory, tree_config);
-  const RunOutcome heap = RunOnce(rects, memory, heap_config);
-  ASSERT_EQ(tree.pages.size(), heap.pages.size());
-  EXPECT_EQ(
-      std::memcmp(tree.pages.data(), heap.pages.data(), tree.pages.size()), 0);
-  EXPECT_DOUBLE_EQ(tree.disk.io_seconds, heap.disk.io_seconds);
-}
-
 // Prefetch composes with the new layers without changing modeled I/O.
 TEST(ParallelSortDifferential, PrefetchPlusParallelPlusWriteBehind) {
   const size_t memory = 2000 * sizeof(RectF);
@@ -288,7 +269,9 @@ TEST(ParallelSortDifferential, SharedPoolMatchesPrivateTeam) {
                                            nullptr, PrefetchContext(), config);
   auto sorted = sorter.Sort(in, output.get());
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  if (!SortSerialOnly()) EXPECT_GT(sorter.stats().parallel_units, 1u);
+  if (!SortSerialOnly()) {
+    EXPECT_GT(sorter.stats().parallel_units, 1u);
+  }
   const std::vector<uint8_t> pages = ReadPages(*sorted);
   ASSERT_EQ(pages.size(), ref.pages.size());
   EXPECT_EQ(std::memcmp(pages.data(), ref.pages.data(), pages.size()), 0);
@@ -325,10 +308,57 @@ TEST(ParallelSortDifferential, StrictArbiterAcceptsReservedChunkAccounting) {
   EXPECT_LE(used, granted);
 }
 
-// --- Loser tree / merge selector unit tests ----------------------------
+// --- Loser tree unit tests ----------------------------------------------
 
 struct IntLess {
   bool operator()(int a, int b) const { return a < b; }
+};
+
+/// The classic binary-heap merge (a pop_heap/push_heap pair per record),
+/// kept as the oracle for the loser tree: same interface, same stable
+/// (key, source index) order.
+template <typename T, typename Less>
+class BinaryHeapMerge {
+ public:
+  BinaryHeapMerge(std::vector<std::optional<T>> heads, Less less)
+      : greater_{std::move(less)} {
+    for (size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i].has_value()) heap_.push_back(Item{std::move(*heads[i]), i});
+    }
+    std::make_heap(heap_.begin(), heap_.end(), greater_);
+  }
+
+  bool Empty() const { return heap_.empty(); }
+  const T& Top() const { return heap_.front().value; }
+  size_t TopSource() const { return heap_.front().source; }
+
+  void ReplaceTop(std::optional<T> next) {
+    std::pop_heap(heap_.begin(), heap_.end(), greater_);
+    if (next.has_value()) {
+      heap_.back().value = std::move(*next);
+      std::push_heap(heap_.begin(), heap_.end(), greater_);
+    } else {
+      heap_.pop_back();
+    }
+  }
+
+ private:
+  struct Item {
+    T value;
+    size_t source;
+  };
+  /// Min-heap on (value, source).
+  struct Greater {
+    Less less;
+    bool operator()(const Item& a, const Item& b) const {
+      if (less(b.value, a.value)) return true;
+      if (less(a.value, b.value)) return false;
+      return b.source < a.source;
+    }
+  };
+
+  Greater greater_;
+  std::vector<Item> heap_;
 };
 
 TEST(LoserTree, MergesWithSourceStableTies) {
@@ -360,7 +390,29 @@ TEST(LoserTree, SingleSourceAndEmpty) {
   }
 }
 
-TEST(MergeSelector, TreeAndHeapProduceIdenticalSequences) {
+/// Merges sorted `runs` through `Selector`, recording (value, source).
+template <typename Selector>
+std::vector<std::pair<int, size_t>> DrainRuns(
+    const std::vector<std::vector<int>>& runs) {
+  std::vector<size_t> cursor(runs.size(), 0);
+  std::vector<std::optional<int>> heads;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    heads.push_back(runs[s][cursor[s]++]);
+  }
+  Selector selector(std::move(heads), IntLess());
+  std::vector<std::pair<int, size_t>> out;
+  while (!selector.Empty()) {
+    const size_t source = selector.TopSource();
+    out.emplace_back(selector.Top(), source);
+    selector.ReplaceTop(cursor[source] < runs[source].size()
+                            ? std::optional<int>(runs[source][cursor[source]])
+                            : std::nullopt);
+    if (cursor[source] < runs[source].size()) cursor[source]++;
+  }
+  return out;
+}
+
+TEST(LoserTree, MatchesBinaryHeapOracle) {
   // Non-power-of-two source count with duplicates across sources.
   const int k = 5;
   std::vector<std::vector<int>> runs(k);
@@ -373,30 +425,15 @@ TEST(MergeSelector, TreeAndHeapProduceIdenticalSequences) {
     for (int i = 0; i < 200; ++i) runs[s].push_back(next_rand());
     std::sort(runs[s].begin(), runs[s].end());
   }
-  auto drain = [&](MergeStructure structure) {
-    std::vector<size_t> cursor(k, 0);
-    std::vector<std::optional<int>> heads;
-    for (int s = 0; s < k; ++s) heads.push_back(runs[s][cursor[s]++]);
-    MergeSelector<int, IntLess> selector(std::move(heads), IntLess(),
-                                         structure);
-    std::vector<std::pair<int, size_t>> out;
-    while (!selector.Empty()) {
-      const size_t source = selector.TopSource();
-      out.emplace_back(selector.Top(), source);
-      selector.ReplaceTop(cursor[source] < runs[source].size()
-                              ? std::optional<int>(runs[source][cursor[source]])
-                              : std::nullopt);
-      if (cursor[source] < runs[source].size()) cursor[source]++;
-    }
-    return out;
-  };
-  const auto tree = drain(MergeStructure::kLoserTree);
-  const auto heap = drain(MergeStructure::kBinaryHeap);
+  const auto tree = DrainRuns<LoserTree<int, IntLess>>(runs);
+  const auto heap = DrainRuns<BinaryHeapMerge<int, IntLess>>(runs);
   ASSERT_EQ(tree.size(), heap.size());
   ASSERT_EQ(tree.size(), size_t{k} * 200);
   for (size_t i = 0; i < tree.size(); ++i) {
     EXPECT_EQ(tree[i], heap[i]) << "at " << i;
-    if (i > 0) EXPECT_GE(tree[i].first, tree[i - 1].first);
+    if (i > 0) {
+      EXPECT_GE(tree[i].first, tree[i - 1].first);
+    }
   }
 }
 
