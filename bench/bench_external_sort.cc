@@ -1,12 +1,11 @@
 // External-sort optimization ladder: serial baseline, +parallel run
-// formation (8 threads), +write-behind run output, over TIGER-shaped
-// relations at increasing sizes. Every rung must
-// produce byte-identical output pages and identical modeled io_seconds
-// to the serial baseline — asserted, not assumed — so the only thing the
-// ladder moves is host wall time (records/s) and io_wall_seconds. One
-// JSON summary line per (dataset, rung) for the tracking dashboards.
-// `--n=...` overrides the largest size (CI smoke); `--threads=...` the
-// parallel rung width.
+// formation (8 threads), over TIGER-shaped relations at increasing sizes.
+// Every rung must produce byte-identical output pages and identical
+// modeled io_seconds to the serial baseline — asserted, not assumed — so
+// the only thing the ladder moves is host wall time (records/s) and
+// io_wall_seconds. One JSON summary line per (dataset, rung) for the
+// tracking dashboards. `--n=...` overrides the largest size (CI smoke);
+// `--threads=...` the parallel rung width.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,13 +28,11 @@ namespace {
 struct Rung {
   const char* name;
   bool parallel = false;
-  bool write_behind = false;
 };
 
 constexpr Rung kLadder[] = {
-    {"serial", false, false},
-    {"+parallel-runs", true, false},
-    {"+write-behind", true, true},
+    {"serial", false},
+    {"+parallel-runs", true},
 };
 
 struct SortRun {
@@ -59,12 +56,9 @@ SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   disk.ResetStats();
 
   SortConfig config;
-  config.parallel_runs = rung.parallel;
   config.threads = rung.parallel ? threads : 1;
-  config.write_behind = rung.write_behind;
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch.get(),
-                                           OrderByYLo(), nullptr,
-                                           PrefetchContext(), config);
+                                           OrderByYLo(), nullptr, config);
 
   WallTimer wall;
   auto sorted = sorter.Sort(StreamRange{input.get(), 0, n}, output.get());

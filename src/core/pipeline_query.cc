@@ -592,7 +592,6 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   ctx.disk = &op_disk;
   ctx.arbiter = arbiter.get();
   ctx.storage = spec_.options.storage.get();
-  ctx.prefetch = PrefetchContextOf(spec_.options);
 
   PipelineStats out;
   ThreadCpuTimer cpu;
@@ -654,7 +653,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
       SJ_ASSIGN_OR_RETURN(
           std::unique_ptr<RectResolver> resolver,
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
-                              ctx.storage, ctx.prefetch,
+                              ctx.storage,
                               "pipeline.in" + std::to_string(i),
                               SortConfigOf(spec_.options)));
       resolver_ptrs.push_back(resolver.get());

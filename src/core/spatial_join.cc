@@ -70,9 +70,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   // formation parallelizes), so with threads the streaming plans get
   // cheaper relative to the index traversals.
   const uint32_t sort_threads =
-      options.sort_parallel_runs && !SortSerialOnly()
-          ? std::max<uint32_t>(1, options.num_threads)
-          : 1;
+      SortSerialOnly() ? 1 : std::max<uint32_t>(1, options.num_threads);
   decision.sort_cpu_seconds = cost_model_.SortCpuSeconds(
       a.count() + b.count(), sort_grant, sort_threads);
   decision.stream_cost_seconds =

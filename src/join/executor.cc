@@ -277,7 +277,6 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
                          prepared.sorted.get(),
                          plan.options.memory_bytes / 2,
                          plan.arbiter.get(),
-                         PrefetchContextOf(plan.options),
                          SortConfigOf(plan.options)));
       prepared.source = std::make_unique<SortedStreamSource>(sorted);
       return prepared;

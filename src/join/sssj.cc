@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "io/prefetch.h"
 #include "join/strip_map.h"
 #include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
@@ -11,20 +10,6 @@
 #include "util/timer.h"
 
 namespace sj {
-namespace {
-
-/// Adapter: a (prefetching) stream reader as a sweep source.
-class StreamSource {
- public:
-  StreamSource(const StreamRange& range, const PrefetchContext& prefetch)
-      : reader_(range.pager, range.first_page, range.count, prefetch) {}
-  std::optional<RectF> Next() { return reader_.Next(); }
-
- private:
-  PrefetchingStreamReader<RectF> reader_;
-};
-
-}  // namespace
 
 size_t EstimateSweepBytes(uint64_t records) {
   return static_cast<size_t>(
@@ -66,7 +51,6 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   JoinMeasurement measurement(disk);
   SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
   StorageFactory* storage = options.storage.get();
-  const PrefetchContext prefetch = PrefetchContextOf(options);
   const SortConfig sort_config = SortConfigOf(options);
   SortStats sort_stats;
 
@@ -90,10 +74,10 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     {
       ExternalSorter<RectF, OrderByYLo> sorter_a(half, runs_a.get(),
                                                  OrderByYLo(), scope.get(),
-                                                 prefetch, sort_config);
+                                                 sort_config);
       ExternalSorter<RectF, OrderByYLo> sorter_b(half, runs_b.get(),
                                                  OrderByYLo(), scope.get(),
-                                                 prefetch, sort_config);
+                                                 sort_config);
       SJ_RETURN_IF_ERROR(sorter_a.FormRuns(a.range, &ra));
       SJ_RETURN_IF_ERROR(sorter_b.FormRuns(b.range, &rb));
       SJ_CHECK(ra.size() <= sorter_a.MaxFanIn() &&
@@ -105,11 +89,9 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     MemoryGrant sweep_grant = scope->AcquireShrinkable(
         grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
     MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
-                                              /*block_pages=*/8, OrderByYLo(),
-                                              prefetch);
+                                              /*block_pages=*/8);
     MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
-                                              /*block_pages=*/8, OrderByYLo(),
-                                              prefetch);
+                                              /*block_pages=*/8);
     sweep_stats =
         SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
                           source_a, source_b, emit);
@@ -122,16 +104,17 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     SJ_ASSIGN_OR_RETURN(
         StreamRange sa,
         SortRectsByYLo(a.range, runs_a.get(), sorted_a.get(),
-                       options.memory_bytes / 2, scope.get(), prefetch,
-                       sort_config, &sort_stats));
+                       options.memory_bytes / 2, scope.get(), sort_config,
+                       &sort_stats));
     SJ_ASSIGN_OR_RETURN(
         StreamRange sb,
         SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
-                       options.memory_bytes / 2, scope.get(), prefetch,
-                       sort_config, &sort_stats));
+                       options.memory_bytes / 2, scope.get(), sort_config,
+                       &sort_stats));
     MemoryGrant sweep_grant = scope->AcquireShrinkable(
         grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
-    StreamSource source_a(sa, prefetch), source_b(sb, prefetch);
+    StreamReader<RectF> source_a(sa.pager, sa.first_page, sa.count);
+    StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
     sweep_stats =
         SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
                           source_a, source_b, emit);
@@ -211,7 +194,6 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   writer_grant.NoteUsage(size_t{2} * map.strips() * writer_block_pages *
                          kPageSize);
   StorageFactory* storage = options.storage.get();
-  const PrefetchContext prefetch = PrefetchContextOf(options);
   auto make_files = [storage, disk, writer_block_pages](
                         const char* side,
                         uint32_t k) -> Result<std::vector<StripFile>> {
@@ -266,10 +248,8 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
     SortStats sort_stats;
   };
   // Strips are the parallel unit here: their internal sorts stay
-  // single-threaded (nested run-formation fan-out would only contend for
-  // the same workers), but the write-behind and fan-in knobs still apply.
-  SortConfig strip_sort_config = SortConfigOf(options);
-  strip_sort_config.threads = 1;
+  // single-threaded (the default SortConfig; nested run-formation fan-out
+  // would only contend for the same workers).
   // Inline runs (same condition as ParallelFor's) stream pairs straight
   // to the caller's sink in strip order; only pooled runs buffer.
   const bool pooled = options.num_threads > 1 && map.strips() > 1;
@@ -302,20 +282,18 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
             StreamRange sa,
             SortRectsByYLo(t.range_a, scratch.get(), sorted.get(),
                            options.memory_bytes / 2, t.memory.get(),
-                           prefetch, strip_sort_config, &t.sort_stats));
+                           SortConfig(), &t.sort_stats));
         SJ_ASSIGN_OR_RETURN(
             StreamRange sb,
             SortRectsByYLo(t.range_b, scratch.get(), sorted.get(),
                            options.memory_bytes / 2, t.memory.get(),
-                           prefetch, strip_sort_config, &t.sort_stats));
+                           SortConfig(), &t.sort_stats));
         MemoryGrant sweep_grant = t.memory->AcquireShrinkable(
             grants::kSweep,
             EstimateSweepBytes(t.range_a.count + t.range_b.count),
             /*floor_bytes=*/0);
-        PrefetchingStreamReader<RectF> reader_a(sa.pager, sa.first_page,
-                                                sa.count, prefetch);
-        PrefetchingStreamReader<RectF> reader_b(sb.pager, sb.first_page,
-                                                sb.count, prefetch);
+        StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
+        StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
         auto emit = [&](const RectF& ra, const RectF& rb) {
           // Report only in the strip owning the overlap's left edge.
           if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {

@@ -14,20 +14,13 @@ class ThreadPool;
 /// modeled io_seconds — they move wall time only (see external_sort.h for
 /// the determinism contract).
 struct SortConfig {
-  /// Form runs as independent units on worker threads. Only engages when
-  /// `threads > 1` and the input spans more than one run.
-  bool parallel_runs = true;
-  /// Worker count for run formation (1 = serial). Mirrors
-  /// JoinOptions::num_threads.
+  /// Worker count for run formation (1 = serial): runs form as independent
+  /// units on worker threads when `threads > 1` and the input spans more
+  /// than one run. Mirrors JoinOptions::num_threads.
   uint32_t threads = 1;
   /// Shared morsel pool; null spawns a private ParallelFor team. Not
   /// owned.
   ThreadPool* pool = nullptr;
-  /// Double-buffered run/merge output: the filled block flushes on a
-  /// background task while the next block fills. Off by default (costs an
-  /// extra write-block buffer per open writer), mirroring
-  /// JoinOptions::prefetch.
-  bool write_behind = false;
   /// Merge fan-in: 0 lets RunLayout::PlanMerge pick the smallest fan-in
   /// that does not add a merge pass (and grow the per-run read block to
   /// fill the budget); explicit values are clamped to [2, MaxFanIn].
@@ -49,15 +42,11 @@ void ForceSortSerialOnly(bool on);
 /// Clears the ForceSortSerialOnly override, back to the default.
 void ResetSortSerialOnly();
 
-/// The config a sorter actually runs: under the serial-only gate the
-/// thread-spawning layers (parallel runs, write-behind) are stripped,
-/// leaving the bitwise-identical single-threaded pipeline.
+/// The config a sorter actually runs: under the serial-only gate parallel
+/// run formation is stripped, leaving the bitwise-identical
+/// single-threaded pipeline.
 inline SortConfig EffectiveSortConfig(SortConfig config) {
-  if (SortSerialOnly()) {
-    config.parallel_runs = false;
-    config.write_behind = false;
-    config.threads = 1;
-  }
+  if (SortSerialOnly()) config.threads = 1;
   return config;
 }
 

@@ -1,5 +1,5 @@
 // Differential suite for the external sort's perf layers (parallel run
-// formation, loser-tree merge, write-behind output): every configuration
+// formation, loser-tree merge): every configuration
 // must produce byte-identical output and identical modeled io_seconds to
 // the serial pipeline — the determinism contract the whole-join
 // differential harness relies on.
@@ -15,11 +15,8 @@
 #include "core/memory_arbiter.h"
 #include "datagen/synthetic.h"
 #include "io/pager.h"
-#include "io/prefetch.h"
 #include "io/storage.h"
 #include "io/stream.h"
-#include "io/write_behind.h"
-#include "sort/external_pq.h"
 #include "sort/external_sort.h"
 #include "sort/loser_tree.h"
 #include "sort/run_layout.h"
@@ -72,10 +69,8 @@ struct RunOutcome {
 
 struct RunConfig {
   uint32_t threads = 1;
-  bool write_behind = false;
   uint32_t fan_in = 0;  // 0 = auto.
   bool file_backend = false;
-  bool prefetch = false;
 };
 
 /// One full sort under `config` on a fresh DiskModel; ~10 runs at the
@@ -105,16 +100,11 @@ RunOutcome RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
 
   MemoryArbiter arbiter(memory_bytes, /*strict=*/false);
   SortConfig sort_config;
-  sort_config.parallel_runs = config.threads > 1;
   sort_config.threads = config.threads;
-  sort_config.write_behind = config.write_behind;
   sort_config.merge_fan_in = config.fan_in;
-  PrefetchContext prefetch;
-  prefetch.enabled = config.prefetch;
 
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch.get(),
-                                           OrderByYLo(), &arbiter, prefetch,
-                                           sort_config);
+                                           OrderByYLo(), &arbiter, sort_config);
   auto sorted = sorter.Sort(in, output.get());
   SJ_CHECK(sorted.ok()) << sorted.status().ToString();
 
@@ -126,12 +116,11 @@ RunOutcome RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   return outcome;
 }
 
-// The seeded differential sweep (the PR's acceptance gate): {1,2,8}
-// threads x {write-behind on/off} x {fan-in 2, auto, max} x {memory,
-// file} backends, all against the serial/memory reference of the same
-// fan-in. Output pages must match byte for byte everywhere; modeled
-// io_seconds and request counts must match within a fan-in group; the
-// arbiter peak must stay within the grant.
+// The seeded differential sweep: {1,2,8} threads x {fan-in 2, auto, max}
+// x {memory, file} backends, all against the serial/memory reference of
+// the same fan-in. Output pages must match byte for byte everywhere;
+// modeled io_seconds and request counts must match within a fan-in group;
+// the arbiter peak must stay within the grant.
 TEST(ParallelSortDifferential, AllConfigsMatchSerialReference) {
   const uint64_t n = 30000;
   const size_t memory = 3000 * sizeof(RectF);  // ~10+ formation units.
@@ -170,62 +159,40 @@ TEST(ParallelSortDifferential, AllConfigsMatchSerialReference) {
     }
 
     for (uint32_t threads : {1u, 2u, 8u}) {
-      for (bool write_behind : {false, true}) {
-        for (bool file_backend : {false, true}) {
-          RunConfig config;
-          config.threads = threads;
-          config.write_behind = write_behind;
-          config.fan_in = fan_in;
-          config.file_backend = file_backend;
-          const RunOutcome got = RunOnce(rects, memory, config);
-          const std::string label =
-              "threads=" + std::to_string(threads) +
-              " wb=" + std::to_string(write_behind) +
-              " fan_in=" + std::to_string(fan_in) +
-              " file=" + std::to_string(file_backend);
-          ASSERT_EQ(got.pages.size(), ref.pages.size()) << label;
-          EXPECT_EQ(std::memcmp(got.pages.data(), ref.pages.data(),
-                                ref.pages.size()),
-                    0)
-              << label;
-          EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
-          EXPECT_EQ(got.disk.pages_read, ref.disk.pages_read) << label;
-          EXPECT_EQ(got.disk.pages_written, ref.disk.pages_written) << label;
-          EXPECT_EQ(got.disk.read_requests, ref.disk.read_requests) << label;
-          EXPECT_EQ(got.disk.write_requests, ref.disk.write_requests) << label;
-          EXPECT_EQ(got.disk.random_read_requests,
-                    ref.disk.random_read_requests)
-              << label;
-          EXPECT_LE(got.peak_memory, memory) << label;
-          EXPECT_EQ(got.sort.merge_fan_in, ref.sort.merge_fan_in) << label;
-          EXPECT_EQ(got.sort.merge_passes, ref.sort.merge_passes) << label;
-          if (threads > 1 && !SortSerialOnly()) {
-            EXPECT_GT(got.sort.parallel_units, 1u) << label;
-          }
+      for (bool file_backend : {false, true}) {
+        RunConfig config;
+        config.threads = threads;
+        config.fan_in = fan_in;
+        config.file_backend = file_backend;
+        const RunOutcome got = RunOnce(rects, memory, config);
+        const std::string label = "threads=" + std::to_string(threads) +
+                                  " fan_in=" + std::to_string(fan_in) +
+                                  " file=" + std::to_string(file_backend);
+        ASSERT_EQ(got.pages.size(), ref.pages.size()) << label;
+        EXPECT_EQ(
+            std::memcmp(got.pages.data(), ref.pages.data(), ref.pages.size()),
+            0)
+            << label;
+        EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
+        EXPECT_EQ(got.disk.pages_read, ref.disk.pages_read) << label;
+        EXPECT_EQ(got.disk.pages_written, ref.disk.pages_written) << label;
+        EXPECT_EQ(got.disk.read_requests, ref.disk.read_requests) << label;
+        EXPECT_EQ(got.disk.write_requests, ref.disk.write_requests) << label;
+        EXPECT_EQ(got.disk.random_read_requests,
+                  ref.disk.random_read_requests)
+            << label;
+        EXPECT_LE(got.peak_memory, memory) << label;
+        EXPECT_EQ(got.sort.merge_fan_in, ref.sort.merge_fan_in) << label;
+        EXPECT_EQ(got.sort.merge_passes, ref.sort.merge_passes) << label;
+        if (threads > 1 && !SortSerialOnly()) {
+          EXPECT_GT(got.sort.parallel_units, 1u) << label;
         }
       }
     }
   }
 }
 
-// Prefetch composes with the new layers without changing modeled I/O.
-TEST(ParallelSortDifferential, PrefetchPlusParallelPlusWriteBehind) {
-  const size_t memory = 2000 * sizeof(RectF);
-  auto rects = UniformRects(15000, RectF(0, 0, 500, 500), 3.0f, /*seed=*/9);
-  RunConfig ref_config;
-  const RunOutcome ref = RunOnce(rects, memory, ref_config);
-  RunConfig config;
-  config.threads = 4;
-  config.write_behind = true;
-  config.prefetch = true;
-  const RunOutcome got = RunOnce(rects, memory, config);
-  ASSERT_EQ(got.pages.size(), ref.pages.size());
-  EXPECT_EQ(std::memcmp(got.pages.data(), ref.pages.data(), ref.pages.size()),
-            0);
-  EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds);
-}
-
-// The serial-only escape hatch strips the thread-spawning layers: same
+// The serial-only escape hatch strips parallel run formation: same
 // output, no parallel units, even when the config asks for 8 threads.
 TEST(ParallelSortDifferential, SerialOnlyGateStripsParallelLayers) {
   const size_t memory = 2000 * sizeof(RectF);
@@ -236,7 +203,6 @@ TEST(ParallelSortDifferential, SerialOnlyGateStripsParallelLayers) {
   ForceSortSerialOnly(true);
   RunConfig config;
   config.threads = 8;
-  config.write_behind = true;
   const RunOutcome gated = RunOnce(rects, memory, config);
   ResetSortSerialOnly();
 
@@ -264,9 +230,8 @@ TEST(ParallelSortDifferential, SharedPoolMatchesPrivateTeam) {
   SortConfig config;
   config.threads = 4;
   config.pool = &pool;
-  config.write_behind = true;
   ExternalSorter<RectF, OrderByYLo> sorter(memory, scratch.get(), OrderByYLo(),
-                                           nullptr, PrefetchContext(), config);
+                                           nullptr, config);
   auto sorted = sorter.Sort(in, output.get());
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
   if (!SortSerialOnly()) {
@@ -435,80 +400,6 @@ TEST(LoserTree, MatchesBinaryHeapOracle) {
       EXPECT_GE(tree[i].first, tree[i - 1].first);
     }
   }
-}
-
-// --- Write-behind error and spill paths --------------------------------
-
-struct IntLess64 {
-  bool operator()(uint64_t a, uint64_t b) const { return a < b; }
-};
-
-/// Backend whose writes start failing on demand (same shape as
-/// storage_test's) — drives the async flush's sticky-error path.
-class FailingBackend final : public StorageBackend {
- public:
-  Status ReadPage(uint64_t page, void* buf) override {
-    return inner_.ReadPage(page, buf);
-  }
-  Status WritePage(uint64_t page, const void* buf) override {
-    if (fail_writes) return Status::IoError("injected write failure");
-    return inner_.WritePage(page, buf);
-  }
-  uint64_t PageCount() const override { return inner_.PageCount(); }
-
-  bool fail_writes = false;
-
- private:
-  MemoryBackend inner_;
-};
-
-// A failing asynchronous flush surfaces as the same sticky StreamWriter
-// error (and Finish status code) the synchronous path reports.
-TEST(WriteBehind, FailingAsyncFlushMatchesSerialStickyError) {
-  const uint64_t per_block = StreamWriter<uint64_t>::kRecordsPerPage;
-  auto run = [&](bool write_behind) {
-    DiskModel disk(MachineModel::Machine3());
-    auto backend = std::make_unique<FailingBackend>();
-    FailingBackend* failer = backend.get();
-    Pager pager(std::move(backend), &disk, "p");
-    WriteBehindContext wb;
-    wb.enabled = write_behind;
-    StreamWriter<uint64_t> writer(&pager, /*block_pages=*/1, wb);
-    failer->fail_writes = true;
-    // Three blocks' worth: the failure lands on an async flush and must
-    // stick across subsequent appends.
-    for (uint64_t i = 0; i < 3 * per_block + 5; ++i) writer.Append(i);
-    return writer.Finish().status().code();
-  };
-  EXPECT_EQ(run(false), StatusCode::kIoError);
-  EXPECT_EQ(run(true), StatusCode::kIoError);
-}
-
-// Write-behind spill in the external PQ: identical pop order and modeled
-// io_seconds to the synchronous spill path.
-TEST(WriteBehind, ExternalPqSpillEquivalence) {
-  auto run = [&](bool write_behind) {
-    DiskModel disk(MachineModel::Machine3());
-    auto spill = MakeMemoryPager(&disk, "spill");
-    SortConfig config;
-    config.write_behind = write_behind;
-    ExternalPriorityQueue<uint64_t, IntLess64> pq(
-        256 * sizeof(uint64_t), spill.get(), IntLess64(), nullptr,
-        PrefetchContext(), config);
-    uint64_t state = 99;
-    for (int i = 0; i < 5000; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      pq.Push(state >> 32);
-    }
-    std::vector<uint64_t> popped;
-    while (auto v = pq.PopMin()) popped.push_back(*v);
-    return std::make_pair(popped, disk.stats().io_seconds);
-  };
-  const auto sync = run(false);
-  const auto async = run(true);
-  EXPECT_GT(sync.first.size(), 0u);
-  EXPECT_EQ(sync.first, async.first);
-  EXPECT_DOUBLE_EQ(sync.second, async.second);
 }
 
 }  // namespace
