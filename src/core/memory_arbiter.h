@@ -100,14 +100,14 @@ struct MemoryComponentStats {
   /// Max bytes concurrently granted to this component.
   size_t granted_high_water = 0;
   /// Max bytes the component reported actually using (NoteUsage /
-  /// FoldChildPeak). May exceed granted_high_water only when a non-strict
+  /// FoldChild). May exceed granted_high_water only when a non-strict
   /// arbiter recorded an overshoot instead of aborting.
   size_t used_high_water = 0;
 };
 
 /// The per-query memory governor: one fixed budget carved into explicit,
 /// tracked grants. Every memory-consuming component of a join — external
-/// sort run buffers, external PQ heaps, sweep structures, PBSM
+/// sort run buffers, PQ traversal queues, sweep structures, PBSM
 /// distribution writers and partition loads, the ST buffer pool,
 /// refinement batch buffers, R-tree bulk-load buffers — acquires its share
 /// here instead of interpreting JoinOptions::memory_bytes ad hoc, so the
@@ -119,12 +119,12 @@ struct MemoryComponentStats {
 /// In strict mode (JoinOptions::strict_memory_accounting, meant for debug
 /// and tests) a component reporting usage above its grant aborts.
 ///
-/// Thread-safe. Parallel work units (PBSM partition tasks, SSSJ strips)
-/// model the paper's *serial* machine: each unit runs against a private
-/// child arbiter with the full phase budget, and the parent folds the
-/// child peaks in afterwards with FoldChildPeak — max over units, so the
-/// reported peak is the serial-equivalent footprint and identical for
-/// every thread count, like every other modeled stat in this repo.
+/// Thread-safe. Parallel work units (PBSM partition pairs, SSSJ strips;
+/// join/work_units.h) model the paper's *serial* machine: each unit runs
+/// against a private child arbiter with the full phase budget, and the
+/// parent folds the child peaks in afterwards with FoldChild — max over
+/// units, so the reported peak is the serial-equivalent footprint and
+/// identical for every thread count, like every other modeled stat.
 class MemoryArbiter {
  public:
   explicit MemoryArbiter(size_t budget_bytes, bool strict = false);

@@ -79,11 +79,9 @@ struct JoinOptions {
   /// sweep directly instead of materializing the sorted stream, saving one
   /// write and one read pass over each input.
   bool fuse_merge_sweep = false;
-  /// Worker threads for the parallel phases (PBSM partition pairs, SSSJ
-  /// strips, multiway strips). 1 = serial. Each parallel unit runs against
-  /// a private DiskModel shard and a private sink that are merged in unit
-  /// order afterwards, so output pairs and modeled I/O stats are identical
-  /// for every value of this knob.
+  /// Worker threads for the work units (PBSM partition pairs, SSSJ and
+  /// multiway strips, refinement batches; join/work_units.h). 1 = serial.
+  /// Output pairs and modeled I/O stats are identical for every value.
   uint32_t num_threads = 1;
   /// Vertical strips for the parallel multiway path. Fixed (instead of
   /// derived from num_threads) so the decomposition — and with it the
@@ -151,10 +149,10 @@ inline Result<StreamRange> SortRectsByYLo(
 /// Everything measured about one join execution.
 ///
 /// I/O counters are deltas of the experiment's DiskModel (plus, for
-/// parallel runs, the summed per-worker shards), so they cover exactly
-/// the algorithm's own work. CPU is host CPU time — the driving thread
-/// plus any pool workers; the MachineModel's slowdown converts it to
-/// modeled 1999-hardware seconds.
+/// parallel runs, the summed per-unit shards), so they cover exactly the
+/// algorithm's own work. CPU is host CPU time: the driving thread plus
+/// the work units other threads ran; the MachineModel's slowdown converts
+/// it to modeled 1999-hardware seconds.
 struct JoinStats {
   uint64_t output_count = 0;
   double host_cpu_seconds = 0.0;
@@ -287,6 +285,33 @@ class CollectingSink final : public JoinSink {
 
  private:
   std::vector<IdPair> pairs_;
+};
+
+/// Consumer of k-way join results; `tuple[i]` is an object id from input i.
+class TupleSink {
+ public:
+  virtual ~TupleSink() = default;
+  virtual void Emit(const std::vector<ObjectId>& tuple) = 0;
+};
+
+class CountingTupleSink final : public TupleSink {
+ public:
+  void Emit(const std::vector<ObjectId>&) override { count_++; }
+  uint64_t count() const { return count_; }
+
+ private:
+  uint64_t count_ = 0;
+};
+
+class CollectingTupleSink final : public TupleSink {
+ public:
+  void Emit(const std::vector<ObjectId>& tuple) override {
+    tuples_.push_back(tuple);
+  }
+  const std::vector<std::vector<ObjectId>>& tuples() const { return tuples_; }
+
+ private:
+  std::vector<std::vector<ObjectId>> tuples_;
 };
 
 /// Writes results as an IdPair stream (charged output I/O).

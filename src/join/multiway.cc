@@ -7,10 +7,9 @@
 #include <string>
 
 #include "join/strip_map.h"
+#include "join/work_units.h"
 #include "sweep/sweep_join.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace sj {
 
@@ -249,138 +248,57 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
   // Phase 1 (serial, shared disk): replicate every input into the strips
   // it overlaps. Inputs are y-sorted and distribution preserves order, so
   // each strip file is itself a valid sorted source.
-  struct StripFiles {
-    std::vector<std::unique_ptr<Pager>> pagers;  // One per input.
-    std::vector<StreamRange> ranges;
-  };
-  std::vector<StripFiles> strips(map.strips());
-  for (StripFiles& s : strips) {
-    s.pagers.resize(k);
-    s.ranges.resize(k);
-  }
+  std::vector<std::vector<UnitFile>> files(k);  // [input][strip]
   for (size_t in = 0; in < k; ++in) {
-    std::vector<std::unique_ptr<StreamWriter<RectF>>> writers(map.strips());
-    // Abandons every still-open writer of this input so an error return
-    // unwinds instead of tripping the writers' destructor checks.
-    auto abandon_writers = [&writers]() {
-      for (auto& w : writers) {
-        if (w != nullptr) w->Abandon();
-      }
-    };
-    for (uint32_t s = 0; s < map.strips(); ++s) {
-      Result<std::unique_ptr<Pager>> pager = MakePager(
-          options.storage.get(), disk,
-          "multiway.strip." + std::to_string(s) + "." + std::to_string(in));
-      if (!pager.ok()) {
-        abandon_writers();
-        return pager.status();
-      }
-      strips[s].pagers[in] = std::move(pager).value();
-      writers[s] = std::make_unique<StreamWriter<RectF>>(
-          strips[s].pagers[in].get(), /*block_pages=*/4);
-    }
-    StreamReader<RectF> reader(inputs[in].range.pager,
-                               inputs[in].range.first_page,
-                               inputs[in].range.count);
-    while (std::optional<RectF> r = reader.Next()) {
-      const uint32_t s0 = map.StripOf(r->xlo);
-      const uint32_t s1 = map.StripOf(r->xhi);
-      for (uint32_t s = s0; s <= s1; ++s) writers[s]->Append(*r);
-    }
-    // Finish every writer even when one fails, then surface the first
-    // failure (Finish marks a stream finished on error too).
-    Status first_error = Status::OK();
-    for (uint32_t s = 0; s < map.strips(); ++s) {
-      const PageId first = writers[s]->first_page();
-      Result<uint64_t> n = writers[s]->Finish();
-      if (n.ok()) {
-        strips[s].ranges[in] =
-            StreamRange{strips[s].pagers[in].get(), first, n.value()};
-      } else if (first_error.ok()) {
-        first_error = n.status();
-      }
-    }
-    SJ_RETURN_IF_ERROR(first_error);
+    SJ_ASSIGN_OR_RETURN(
+        files[in],
+        OpenUnitFiles(options.storage.get(), disk, map.strips(),
+                      /*block_pages=*/4, [in](uint32_t s) {
+                        return "multiway.strip." + std::to_string(s) + "." +
+                               std::to_string(in);
+                      }));
+    SJ_RETURN_IF_ERROR(DistributeRects(
+        inputs[in],
+        [&map](const RectF& r, std::vector<uint32_t>* strips) {
+          map.StripsOf(r, strips);
+        },
+        &files[in]));
   }
 
-  // Phase 2: one chain per strip against a private shard; a tuple is
-  // reported only in the strip owning the left edge of its full k-way
-  // intersection. Stats merge as in PBSM: identical for any num_threads.
-  struct StripTask {
-    std::unique_ptr<DiskModel> disk;
-    StripFiles files;
-    CollectingTupleSink sink;
-    uint64_t output = 0;
-    size_t max_bytes = 0;
-    double cpu_seconds = 0;
-  };
-  // Inline runs (same condition as ParallelFor's) stream tuples straight
-  // to the caller's sink in strip order; only pooled runs buffer.
-  const bool pooled = options.num_threads > 1 && map.strips() > 1;
-  std::vector<StripTask> tasks(map.strips());
-  for (uint32_t s = 0; s < map.strips(); ++s) {
-    StripTask& t = tasks[s];
-    t.disk = std::make_unique<DiskModel>(disk->machine());
-    t.files.pagers.resize(k);
-    t.files.ranges.resize(k);
+  // Phase 2: one chain per strip, each strip a work unit
+  // (join/work_units.h); a tuple is reported only in the strip owning the
+  // left edge of its full k-way intersection.
+  std::vector<ChainRunStats> runs(map.strips());
+  auto join_strip = [&](WorkUnit& unit, TupleSink* out) -> Status {
+    const uint64_t s = unit.index();
+    std::vector<std::unique_ptr<SortedStreamSource>> sources;
+    std::vector<SortedRectSource*> source_ptrs;
     for (size_t in = 0; in < k; ++in) {
-      t.files.pagers[in] =
-          RehomePager(std::move(strips[s].pagers[in]), t.disk.get());
-      t.files.ranges[in] = StreamRange{t.files.pagers[in].get(),
-                                       strips[s].ranges[in].first_page,
-                                       strips[s].ranges[in].count};
+      sources.push_back(
+          std::make_unique<SortedStreamSource>(unit.Adopt(&files[in][s])));
+      source_ptrs.push_back(sources.back().get());
     }
-  }
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, map.strips(), [&](uint64_t s) -> Status {
-        StripTask& t = tasks[s];
-        ThreadCpuTimer cpu;
-        TupleSink* out = pooled ? static_cast<TupleSink*>(&t.sink) : sink;
-        std::vector<std::unique_ptr<SortedStreamSource>> sources;
-        std::vector<SortedRectSource*> source_ptrs;
-        sources.reserve(k);
-        source_ptrs.reserve(k);
-        for (size_t in = 0; in < k; ++in) {
-          sources.push_back(
-              std::make_unique<SortedStreamSource>(t.files.ranges[in]));
-          source_ptrs.push_back(sources.back().get());
-        }
-        const ChainRunStats run = RunMultiwayChain(
-            source_ptrs, extent, options, out,
-            [&](const RectF& ra, const RectF& rb) {
-              return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
-            });
-        t.output = run.output_count;
-        t.max_bytes = run.max_bytes;
-        t.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  uint64_t output = 0;
-  size_t max_bytes = 0;
-  double worker_cpu = 0;
-  DiskStats shard_disk;
-  for (const StripTask& t : tasks) {
-    if (pooled) {
-      for (const std::vector<ObjectId>& tuple : t.sink.tuples()) {
-        sink->Emit(tuple);
-      }
-    }
-    output += t.output;
-    max_bytes = std::max(max_bytes, t.max_bytes);
-    worker_cpu += t.cpu_seconds;
-    shard_disk += t.disk->stats();
-  }
+    runs[s] = RunMultiwayChain(
+        source_ptrs, extent, options, out,
+        [&](const RectF& ra, const RectF& rb) {
+          return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
+        });
+    return Status::OK();
+  };
+  SJ_ASSIGN_OR_RETURN(
+      const WorkUnitTotals units,
+      RunWorkUnits(WorkUnitSpec(options, disk->machine(), map.strips()),
+                   sink, join_strip));
 
   MultiwayStats stats;
   const JoinStats base = measurement.Finish();
-  stats.host_cpu_seconds = base.host_cpu_seconds;
-  if (pooled) stats.host_cpu_seconds += worker_cpu;
+  stats.host_cpu_seconds = base.host_cpu_seconds + units.worker_cpu_seconds;
   stats.disk = base.disk;
-  stats.disk += shard_disk;
-  stats.output_count = output;
-  stats.max_bytes = max_bytes;
+  stats.disk += units.disk;
+  for (const ChainRunStats& run : runs) {
+    stats.output_count += run.output_count;
+    stats.max_bytes = std::max(stats.max_bytes, run.max_bytes);
+  }
   return stats;
 }
 

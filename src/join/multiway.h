@@ -14,33 +14,6 @@
 
 namespace sj {
 
-/// Consumer of k-way join results; `tuple[i]` is an object id from input i.
-class TupleSink {
- public:
-  virtual ~TupleSink() = default;
-  virtual void Emit(const std::vector<ObjectId>& tuple) = 0;
-};
-
-class CountingTupleSink final : public TupleSink {
- public:
-  void Emit(const std::vector<ObjectId>&) override { count_++; }
-  uint64_t count() const { return count_; }
-
- private:
-  uint64_t count_ = 0;
-};
-
-class CollectingTupleSink final : public TupleSink {
- public:
-  void Emit(const std::vector<ObjectId>& tuple) override {
-    tuples_.push_back(tuple);
-  }
-  const std::vector<std::vector<ObjectId>>& tuples() const { return tuples_; }
-
- private:
-  std::vector<std::vector<ObjectId>> tuples_;
-};
-
 /// A lazily-evaluated two-way PQ join exposed as a sorted source: yields
 /// the intersection rectangle of every result pair, in nondecreasing ylo
 /// order (a pair is discovered exactly when the sweep reaches the larger

@@ -24,8 +24,7 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   // Static split: traversal queues and leaf buffers on one grant, sweep
   // structures on the other. Sampled maxima are reported as usage — the
   // paper's "data structures fit in memory" assumption, now checked by
-  // the arbiter (strict mode aborts; an external priority queue [2,9]
-  // would be the spill path for inputs that defeat it).
+  // the arbiter (strict mode aborts). The queues never spill.
   MemoryGrant queue_grant = scope->AcquireShrinkable(
       grants::kPqQueue, scope->budget() / 2, /*floor_bytes=*/0);
   MemoryGrant sweep_grant = scope->AcquireShrinkable(

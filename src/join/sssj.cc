@@ -4,10 +4,9 @@
 #include <memory>
 
 #include "join/strip_map.h"
+#include "join/work_units.h"
 #include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace sj {
 
@@ -130,49 +129,6 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   return stats;
 }
 
-namespace {
-
-struct StripFile {
-  std::unique_ptr<Pager> pager;
-  std::unique_ptr<StreamWriter<RectF>> writer;
-  StreamRange range;
-};
-
-/// Error-path unwinding: declares every still-open strip writer dead so
-/// their destructors do not abort when a sibling operation failed.
-void AbandonAll(std::vector<StripFile>* files) {
-  for (StripFile& f : *files) {
-    if (f.writer != nullptr) f.writer->Abandon();
-  }
-}
-
-Status DistributeToStrips(const DatasetRef& input, const StripMap& map,
-                          std::vector<StripFile>* files) {
-  StreamReader<RectF> reader(input.range.pager, input.range.first_page,
-                             input.range.count);
-  while (std::optional<RectF> r = reader.Next()) {
-    const uint32_t s0 = map.StripOf(r->xlo);
-    const uint32_t s1 = map.StripOf(r->xhi);
-    for (uint32_t s = s0; s <= s1; ++s) (*files)[s].writer->Append(*r);
-  }
-  // Finish every writer even when one fails (Finish marks the stream
-  // finished on error too), then surface the first failure.
-  Status first_error = Status::OK();
-  for (StripFile& f : *files) {
-    const PageId first = f.writer->first_page();
-    Result<uint64_t> n = f.writer->Finish();
-    if (n.ok()) {
-      f.range = StreamRange{f.pager.get(), first, n.value()};
-    } else if (first_error.ok()) {
-      first_error = n.status();
-    }
-    f.writer.reset();
-  }
-  return first_error;
-}
-
-}  // namespace
-
 Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
                                 uint32_t strips, DiskModel* disk,
                                 const JoinOptions& options, JoinSink* sink,
@@ -182,164 +138,91 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
   const StripMap map(extent, strips);
 
-  // One writer per strip and side stays open during distribution; the
-  // 4-page flush blocks shrink when the grant cannot cover all of them.
-  MemoryGrant writer_grant = scope->AcquireShrinkable(
-      grants::kStripWriters,
-      size_t{2} * map.strips() * 4 * kPageSize,
-      std::min<size_t>(size_t{2} * map.strips() * kPageSize,
-                       scope->budget()));
-  const uint32_t writer_block_pages = static_cast<uint32_t>(std::clamp<size_t>(
-      writer_grant.bytes() / (size_t{2} * map.strips() * kPageSize), 1, 4));
-  writer_grant.NoteUsage(size_t{2} * map.strips() * writer_block_pages *
-                         kPageSize);
-  StorageFactory* storage = options.storage.get();
-  auto make_files = [storage, disk, writer_block_pages](
-                        const char* side,
-                        uint32_t k) -> Result<std::vector<StripFile>> {
-    std::vector<StripFile> files(k);
-    for (uint32_t i = 0; i < k; ++i) {
-      Result<std::unique_ptr<Pager>> pager = MakePager(
-          storage, disk,
-          std::string("sssj.strip.") + side + "." + std::to_string(i));
-      if (!pager.ok()) {
-        AbandonAll(&files);  // Strips 0..i-1 hold open writers.
-        return pager.status();
-      }
-      files[i].pager = std::move(pager).value();
-      files[i].writer =
-          std::make_unique<StreamWriter<RectF>>(files[i].pager.get(),
-                                                writer_block_pages);
-    }
-    return files;
-  };
-  SJ_ASSIGN_OR_RETURN(std::vector<StripFile> files_a,
-                      make_files("a", map.strips()));
-  Result<std::vector<StripFile>> files_b_or = make_files("b", map.strips());
-  if (!files_b_or.ok()) {
-    AbandonAll(&files_a);
-    return files_b_or.status();
-  }
-  std::vector<StripFile> files_b = std::move(files_b_or).value();
-  Status distribute_a = DistributeToStrips(a, map, &files_a);
-  if (!distribute_a.ok()) {
-    AbandonAll(&files_b);
-    return distribute_a;
-  }
-  SJ_RETURN_IF_ERROR(DistributeToStrips(b, map, &files_b));
+  // One writer per strip and side stays open during distribution, with
+  // 4-page flush blocks unless the grant cannot cover all of them.
+  MemoryGrant writer_grant;
+  const uint32_t writer_block_pages =
+      GrantWriterBlocks(scope.get(), grants::kStripWriters,
+                        size_t{2} * map.strips(), 4, &writer_grant);
+  std::vector<UnitFile> files_a, files_b;
+  SJ_RETURN_IF_ERROR(DistributeBoth(
+      options.storage.get(), disk, "sssj.strip.", map.strips(),
+      writer_block_pages, a, b,
+      [&map](const RectF& r, std::vector<uint32_t>* strips) {
+        map.StripsOf(r, strips);
+      },
+      &files_a, &files_b));
   writer_grant.Release();
 
-  // Strips are independent: each one sorts and sweeps against a private
-  // DiskModel shard and buffers its pairs in a private sink, merged in
-  // strip order below. Output and modeled I/O are therefore identical for
-  // every options.num_threads (see the PBSM phase-2 comment).
-  struct StripTask {
-    std::unique_ptr<DiskModel> disk;
-    /// Serial-equivalent memory scope: each strip is one work unit with
-    /// the full budget; peaks are folded as a max afterwards.
-    std::unique_ptr<MemoryArbiter> memory;
-    std::unique_ptr<Pager> pager_a, pager_b;
-    StreamRange range_a, range_b;
-    CollectingSink sink;
+  // Strips are independent work units (join/work_units.h), each with the
+  // full budget: output and merged stats are identical for every
+  // options.num_threads. Their sorts stay single-threaded (the default
+  // SortConfig; nested run-formation fan-out would only contend for the
+  // same workers).
+  struct StripCounters {
     uint64_t output = 0;
-    size_t max_sweep_bytes = 0;
-    bool strips_collapsed = false;
-    double cpu_seconds = 0;
+    SweepRunStats sweep;
     SortStats sort_stats;
   };
-  // Strips are the parallel unit here: their internal sorts stay
-  // single-threaded (the default SortConfig; nested run-formation fan-out
-  // would only contend for the same workers).
-  // Inline runs (same condition as ParallelFor's) stream pairs straight
-  // to the caller's sink in strip order; only pooled runs buffer.
-  const bool pooled = options.num_threads > 1 && map.strips() > 1;
-  std::vector<StripTask> tasks(map.strips());
-  for (uint32_t s = 0; s < map.strips(); ++s) {
-    StripTask& t = tasks[s];
-    t.disk = std::make_unique<DiskModel>(disk->machine());
-    t.memory = std::make_unique<MemoryArbiter>(scope->budget(),
-                                               scope->strict());
-    t.pager_a = RehomePager(std::move(files_a[s].pager), t.disk.get());
-    t.pager_b = RehomePager(std::move(files_b[s].pager), t.disk.get());
-    t.range_a = StreamRange{t.pager_a.get(), files_a[s].range.first_page,
-                            files_a[s].range.count};
-    t.range_b = StreamRange{t.pager_b.get(), files_b[s].range.first_page,
-                            files_b[s].range.count};
-  }
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, map.strips(), [&](uint64_t s) -> Status {
-        StripTask& t = tasks[s];
-        ThreadCpuTimer cpu;
-        JoinSink* out = pooled ? static_cast<JoinSink*>(&t.sink) : sink;
-        SJ_ASSIGN_OR_RETURN(
-            auto scratch,
-            MakePager(storage, t.disk.get(), "sssj.strip.scratch"));
-        SJ_ASSIGN_OR_RETURN(
-            auto sorted,
-            MakePager(storage, t.disk.get(), "sssj.strip.sorted"));
-        SJ_ASSIGN_OR_RETURN(
-            StreamRange sa,
-            SortRectsByYLo(t.range_a, scratch.get(), sorted.get(),
-                           options.memory_bytes / 2, t.memory.get(),
-                           SortConfig(), &t.sort_stats));
-        SJ_ASSIGN_OR_RETURN(
-            StreamRange sb,
-            SortRectsByYLo(t.range_b, scratch.get(), sorted.get(),
-                           options.memory_bytes / 2, t.memory.get(),
-                           SortConfig(), &t.sort_stats));
-        MemoryGrant sweep_grant = t.memory->AcquireShrinkable(
-            grants::kSweep,
-            EstimateSweepBytes(t.range_a.count + t.range_b.count),
-            /*floor_bytes=*/0);
-        StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
-        StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
-        auto emit = [&](const RectF& ra, const RectF& rb) {
-          // Report only in the strip owning the overlap's left edge.
-          if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {
-            out->Emit(ra.id, rb.id);
-            t.output++;
-          }
-        };
-        const SweepRunStats sweep_stats =
-            SweepJoinWithKind(options.stream_sweep, extent,
-                              options.striped_strips, reader_a, reader_b,
-                              emit);
-        t.max_sweep_bytes = sweep_stats.max_structure_bytes;
-        t.strips_collapsed = sweep_stats.strips_collapsed;
-        // A strict arbiter aborts here when the strip's active sets
-        // still exceed the grant (the old hard SJ_CHECK); otherwise the
-        // overshoot lands in the usage high-water marks.
-        sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-        t.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  uint64_t output = 0;
-  size_t max_sweep = 0;
-  bool stats_strips_collapsed = false;
-  double worker_cpu = 0;
-  DiskStats shard_disk;
-  SortStats folded_sort;
-  for (const StripTask& t : tasks) {
-    folded_sort.Fold(t.sort_stats);
-    if (pooled) {
-      for (const IdPair& pair : t.sink.pairs()) sink->Emit(pair.a, pair.b);
-    }
-    output += t.output;
-    max_sweep = std::max(max_sweep, t.max_sweep_bytes);
-    stats_strips_collapsed = stats_strips_collapsed || t.strips_collapsed;
-    worker_cpu += t.cpu_seconds;
-    shard_disk += t.disk->stats();
-    scope->FoldChild(*t.memory);
-  }
+  std::vector<StripCounters> counters(map.strips());
+  auto join_strip = [&](WorkUnit& unit, JoinSink* out) -> Status {
+    const uint64_t s = unit.index();
+    StripCounters& t = counters[s];
+    const StreamRange range_a = unit.Adopt(&files_a[s]);
+    const StreamRange range_b = unit.Adopt(&files_b[s]);
+    StorageFactory* storage = options.storage.get();
+    SJ_ASSIGN_OR_RETURN(
+        auto scratch, MakePager(storage, unit.disk(), "sssj.strip.scratch"));
+    SJ_ASSIGN_OR_RETURN(
+        auto sorted, MakePager(storage, unit.disk(), "sssj.strip.sorted"));
+    SJ_ASSIGN_OR_RETURN(
+        StreamRange sa,
+        SortRectsByYLo(range_a, scratch.get(), sorted.get(),
+                       options.memory_bytes / 2, unit.memory(), SortConfig(),
+                       &t.sort_stats));
+    SJ_ASSIGN_OR_RETURN(
+        StreamRange sb,
+        SortRectsByYLo(range_b, scratch.get(), sorted.get(),
+                       options.memory_bytes / 2, unit.memory(), SortConfig(),
+                       &t.sort_stats));
+    MemoryGrant sweep_grant = unit.memory()->AcquireShrinkable(
+        grants::kSweep, EstimateSweepBytes(range_a.count + range_b.count),
+        /*floor_bytes=*/0);
+    StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
+    StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
+    auto emit = [&](const RectF& ra, const RectF& rb) {
+      // Report only in the strip owning the overlap's left edge.
+      if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {
+        out->Emit(ra.id, rb.id);
+        t.output++;
+      }
+    };
+    t.sweep = SweepJoinWithKind(options.stream_sweep, extent,
+                                options.striped_strips, reader_a, reader_b,
+                                emit);
+    // A strict arbiter aborts here when the strip's active sets still
+    // exceed the grant; otherwise the overshoot lands in the usage
+    // high-water marks.
+    sweep_grant.NoteUsage(t.sweep.max_structure_bytes);
+    return Status::OK();
+  };
+  WorkUnitSpec spec(options, disk->machine(), map.strips());
+  spec.parent = scope.get();
+  spec.unit_budget = scope->budget();
+  SJ_ASSIGN_OR_RETURN(const WorkUnitTotals units,
+                      RunWorkUnits(spec, sink, join_strip));
 
   JoinStats stats = measurement.Finish();
-  stats.disk += shard_disk;
-  if (pooled) stats.host_cpu_seconds += worker_cpu;
-  stats.output_count = output;
-  stats.max_sweep_bytes = max_sweep;
-  stats.sweep_strips_collapsed = stats_strips_collapsed;
+  stats.disk += units.disk;
+  stats.host_cpu_seconds += units.worker_cpu_seconds;
+  SortStats folded_sort;
+  for (const StripCounters& t : counters) {
+    folded_sort.Fold(t.sort_stats);
+    stats.output_count += t.output;
+    stats.max_sweep_bytes =
+        std::max(stats.max_sweep_bytes, t.sweep.max_structure_bytes);
+    stats.sweep_strips_collapsed |= t.sweep.strips_collapsed;
+  }
   stats.FoldSortStats(folded_sort);
   stats.partitions_total = map.strips();
   FillMemoryStats(*scope, &stats);

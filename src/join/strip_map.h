@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "geometry/rect.h"
 
@@ -28,6 +29,11 @@ class StripMap {
     const float rel = (x - xlo_) / width_;
     if (!(rel > 0.0f)) return 0;
     return std::min(static_cast<uint32_t>(rel), strips_ - 1);
+  }
+  /// Appends every strip `r` overlaps to `out` (distribution routing).
+  void StripsOf(const RectF& r, std::vector<uint32_t>* out) const {
+    const uint32_t last = StripOf(r.xhi);
+    for (uint32_t s = StripOf(r.xlo); s <= last; ++s) out->push_back(s);
   }
   uint32_t strips() const { return strips_; }
 

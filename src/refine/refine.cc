@@ -1,40 +1,14 @@
 #include "refine/refine.h"
 
 #include <algorithm>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "join/predicate_batch.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
+#include "join/work_units.h"
 
 namespace sj {
 namespace {
-
-/// Per-batch state shared by the pair and tuple executors: a private
-/// DiskModel shard (fresh disk state, so modeled I/O depends only on the
-/// batch's own request sequence) with one registered device per input
-/// store, plus per-batch counters.
-struct BatchShard {
-  std::unique_ptr<DiskModel> disk;
-  std::vector<uint32_t> devices;
-  uint64_t pages_read = 0;
-  uint64_t results = 0;
-  double cpu_seconds = 0.0;
-};
-
-std::vector<BatchShard> MakeShards(uint64_t nbatches, const MachineModel& m,
-                                   size_t nstores) {
-  std::vector<BatchShard> shards(nbatches);
-  for (BatchShard& s : shards) {
-    s.disk = std::make_unique<DiskModel>(m);
-    s.devices.reserve(nstores);
-    for (size_t k = 0; k < nstores; ++k) {
-      s.devices.push_back(
-          s.disk->RegisterDevice("refine." + std::to_string(k)));
-    }
-  }
-  return shards;
-}
 
 /// Grant-aware batch size: the configured refine_batch_pairs, shrunk so
 /// one batch's working set fits the "refine.batch" grant — the graceful
@@ -55,17 +29,51 @@ uint64_t EffectiveBatchPairs(const JoinOptions& options, MemoryArbiter* arbiter,
   return effective;
 }
 
-RefineStats MergeShards(const std::vector<BatchShard>& shards, bool pooled,
-                        uint64_t candidates) {
+/// One refinement batch: candidates [lo, hi), fetched through the unit's
+/// DiskModel shard, which has one registered device per input store.
+struct Batch {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  DiskModel* disk = nullptr;
+  std::vector<uint32_t> devices;
+  uint64_t pages_read = 0;
+  uint64_t results = 0;
+};
+
+/// Runs the batches of `n` candidates as work units (join/work_units.h):
+/// `body(batch, out)` refines one batch into `out`. Pages and results are
+/// summed in batch order.
+template <typename Sink, typename Body>
+Result<RefineStats> RunBatches(uint64_t n, size_t nstores,
+                               const MachineModel& machine,
+                               const JoinOptions& options,
+                               MemoryArbiter* arbiter, Sink* sink,
+                               const Body& body) {
+  MemoryGrant batch_grant;
+  const uint64_t batch = EffectiveBatchPairs(options, arbiter, &batch_grant);
+  std::vector<Batch> batches((n + batch - 1) / batch);
+  auto run_batch = [&](WorkUnit& unit, Sink* out) -> Status {
+    Batch& b = batches[unit.index()];
+    b.lo = unit.index() * batch;
+    b.hi = std::min(n, b.lo + batch);
+    b.disk = unit.disk();
+    for (size_t k = 0; k < nstores; ++k) {
+      b.devices.push_back(
+          b.disk->RegisterDevice("refine." + std::to_string(k)));
+    }
+    return body(b, out);
+  };
+  SJ_ASSIGN_OR_RETURN(
+      const WorkUnitTotals units,
+      RunWorkUnits(WorkUnitSpec(options, machine, batches.size()), sink,
+                   run_batch));
   RefineStats stats;
-  stats.candidates = candidates;
-  for (const BatchShard& s : shards) {
-    stats.results += s.results;
-    stats.pages_read += s.pages_read;
-    stats.disk += s.disk->stats();
-    // Inline batches already ran on the caller's measured thread; only
-    // pool workers' CPU needs reporting (parallel-engine convention).
-    if (pooled) stats.host_cpu_seconds += s.cpu_seconds;
+  stats.candidates = n;
+  stats.disk = units.disk;
+  stats.host_cpu_seconds = units.worker_cpu_seconds;
+  for (const Batch& b : batches) {
+    stats.results += b.results;
+    stats.pages_read += b.pages_read;
   }
   return stats;
 }
@@ -78,68 +86,41 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
                                 const JoinOptions& options, JoinSink* sink,
                                 const PredicateSpec& predicate,
                                 MemoryArbiter* arbiter) {
-  MemoryGrant batch_grant;
-  const uint64_t batch = EffectiveBatchPairs(options, arbiter, &batch_grant);
-  const uint64_t n = candidates.size();
-  const uint64_t nbatches = (n + batch - 1) / batch;
-  if (nbatches == 0) return RefineStats{};
-
   const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
-  const MachineModel& machine = store_a.pager()->disk()->machine();
-  std::vector<BatchShard> shards = MakeShards(nbatches, machine, 2);
-  std::vector<CollectingSink> buffered(nbatches);
-  // Matches ParallelFor's inline condition: serial batches stream straight
-  // to the caller's sink in the same order the pooled merge replays them.
-  const bool pooled = options.num_threads > 1 && nbatches > 1;
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, nbatches, [&](uint64_t i) -> Status {
-        BatchShard& shard = shards[i];
-        ThreadCpuTimer cpu;
-        const uint64_t lo = i * batch;
-        const uint64_t hi = std::min(n, lo + batch);
-        std::vector<ObjectId> ids_a, ids_b;
-        ids_a.reserve(hi - lo);
-        ids_b.reserve(hi - lo);
-        for (uint64_t k = lo; k < hi; ++k) {
-          ids_a.push_back(candidates[k].a);
-          ids_b.push_back(candidates[k].b);
-        }
-        std::vector<Segment> geom_a, geom_b;
-        SJ_ASSIGN_OR_RETURN(
-            uint64_t pages_a,
-            store_a.FetchBatch(Span<const ObjectId>(ids_a.data(), ids_a.size()),
-                               &geom_a, shard.disk.get(), shard.devices[0]));
-        SJ_ASSIGN_OR_RETURN(
-            uint64_t pages_b,
-            store_b.FetchBatch(Span<const ObjectId>(ids_b.data(), ids_b.size()),
-                               &geom_b, shard.disk.get(), shard.devices[1]));
-        shard.pages_read = pages_a + pages_b;
-        JoinSink* out = pooled ? static_cast<JoinSink*>(&buffered[i]) : sink;
-        // Whole-batch predicate evaluation (join/predicate_batch.h): one
-        // flat pass computes the match mask, then emission replays it in
-        // candidate order — bit-identical to the old per-pair
-        // EvaluateExactPredicate loop in both kernel modes.
-        std::vector<uint8_t> match(hi - lo);
-        EvaluateExactPredicateBatch(kernel_mode, predicate, geom_a.data(),
-                                    geom_b.data(), hi - lo, match.data());
-        for (uint64_t k = 0; k < hi - lo; ++k) {
-          if (match[k]) {
-            out->Emit(candidates[lo + k].a, candidates[lo + k].b);
-            shard.results++;
-          }
-        }
-        shard.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  if (pooled) {
-    // Deterministic merge, in batch (= candidate) order.
-    for (const CollectingSink& b : buffered) {
-      for (const IdPair& pair : b.pairs()) sink->Emit(pair.a, pair.b);
+  auto refine = [&](Batch& b, JoinSink* out) -> Status {
+    std::vector<ObjectId> ids_a, ids_b;
+    ids_a.reserve(b.hi - b.lo);
+    ids_b.reserve(b.hi - b.lo);
+    for (uint64_t k = b.lo; k < b.hi; ++k) {
+      ids_a.push_back(candidates[k].a);
+      ids_b.push_back(candidates[k].b);
     }
-  }
-  return MergeShards(shards, pooled, n);
+    std::vector<Segment> geom_a, geom_b;
+    SJ_ASSIGN_OR_RETURN(
+        uint64_t pages_a,
+        store_a.FetchBatch(Span<const ObjectId>(ids_a.data(), ids_a.size()),
+                           &geom_a, b.disk, b.devices[0]));
+    SJ_ASSIGN_OR_RETURN(
+        uint64_t pages_b,
+        store_b.FetchBatch(Span<const ObjectId>(ids_b.data(), ids_b.size()),
+                           &geom_b, b.disk, b.devices[1]));
+    b.pages_read = pages_a + pages_b;
+    // Whole-batch predicate evaluation (join/predicate_batch.h): one flat
+    // pass computes the match mask, then emission replays it in candidate
+    // order.
+    std::vector<uint8_t> match(b.hi - b.lo);
+    EvaluateExactPredicateBatch(kernel_mode, predicate, geom_a.data(),
+                                geom_b.data(), b.hi - b.lo, match.data());
+    for (uint64_t k = 0; k < b.hi - b.lo; ++k) {
+      if (match[k]) {
+        out->Emit(candidates[b.lo + k].a, candidates[b.lo + k].b);
+        b.results++;
+      }
+    }
+    return Status::OK();
+  };
+  return RunBatches(candidates.size(), 2, store_a.pager()->disk()->machine(),
+                    options, arbiter, sink, refine);
 }
 
 Result<RefineStats> RefineTuples(
@@ -155,80 +136,53 @@ Result<RefineStats> RefineTuples(
       return Status::InvalidArgument("tuple refinement: missing store");
     }
   }
-  MemoryGrant batch_grant;
-  const uint64_t batch = EffectiveBatchPairs(options, arbiter, &batch_grant);
-  const uint64_t n = tuples.size();
-  const uint64_t nbatches = (n + batch - 1) / batch;
-  if (nbatches == 0) return RefineStats{};
-
   const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
-  const MachineModel& machine = stores[0]->pager()->disk()->machine();
-  std::vector<BatchShard> shards = MakeShards(nbatches, machine, k);
-  std::vector<CollectingTupleSink> buffered(nbatches);
-  const bool pooled = options.num_threads > 1 && nbatches > 1;
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, nbatches, [&](uint64_t i) -> Status {
-        BatchShard& shard = shards[i];
-        ThreadCpuTimer cpu;
-        const uint64_t lo = i * batch;
-        const uint64_t hi = std::min(n, lo + batch);
-        // Validate the whole batch before any fetch is modeled.
-        for (uint64_t t = lo; t < hi; ++t) {
-          if (tuples[t].size() != k) {
-            return Status::InvalidArgument(
-                "tuple arity does not match store count");
-          }
-        }
-        // Column-at-a-time gather: one batched fetch per input store.
-        std::vector<std::vector<Segment>> geom(k);
-        std::vector<ObjectId> ids;
-        for (size_t input = 0; input < k; ++input) {
-          ids.clear();
-          ids.reserve(hi - lo);
-          for (uint64_t t = lo; t < hi; ++t) {
-            ids.push_back(tuples[t][input]);
-          }
-          SJ_ASSIGN_OR_RETURN(
-              uint64_t pages,
-              stores[input]->FetchBatch(
-                  Span<const ObjectId>(ids.data(), ids.size()), &geom[input],
-                  shard.disk.get(), shard.devices[input]));
-          shard.pages_read += pages;
-        }
-        TupleSink* out = pooled ? static_cast<TupleSink*>(&buffered[i]) : sink;
-        // Batched pairwise intersection: the columns are already
-        // contiguous Segment arrays, so each (x, y) input pair runs one
-        // BatchRectOverlap-style flat pass whose mask is ANDed into the
-        // per-row alive mask. The predicates are pure, so dropping the
-        // scalar loop's short-circuit cannot change which tuples survive.
-        const uint64_t rows = hi - lo;
-        std::vector<uint8_t> alive(rows, 1), pair_mask(rows);
-        for (size_t x = 0; x < k; ++x) {
-          for (size_t y = x + 1; y < k; ++y) {
-            BatchSegmentsIntersect(kernel_mode, geom[x].data(), geom[y].data(),
-                                   rows, pair_mask.data());
-            for (uint64_t row = 0; row < rows; ++row) {
-              alive[row] &= pair_mask[row];
-            }
-          }
-        }
-        for (uint64_t t = lo; t < hi; ++t) {
-          if (alive[t - lo]) {
-            out->Emit(tuples[t]);
-            shard.results++;
-          }
-        }
-        shard.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  if (pooled) {
-    for (const CollectingTupleSink& b : buffered) {
-      for (const std::vector<ObjectId>& tuple : b.tuples()) sink->Emit(tuple);
+  auto refine = [&](Batch& b, TupleSink* out) -> Status {
+    // Validate the whole batch before any fetch is modeled.
+    for (uint64_t t = b.lo; t < b.hi; ++t) {
+      if (tuples[t].size() != k) {
+        return Status::InvalidArgument(
+            "tuple arity does not match store count");
+      }
     }
-  }
-  return MergeShards(shards, pooled, n);
+    // Column-at-a-time gather: one batched fetch per input store.
+    std::vector<std::vector<Segment>> geom(k);
+    std::vector<ObjectId> ids;
+    for (size_t input = 0; input < k; ++input) {
+      ids.clear();
+      ids.reserve(b.hi - b.lo);
+      for (uint64_t t = b.lo; t < b.hi; ++t) ids.push_back(tuples[t][input]);
+      SJ_ASSIGN_OR_RETURN(
+          uint64_t pages,
+          stores[input]->FetchBatch(
+              Span<const ObjectId>(ids.data(), ids.size()), &geom[input],
+              b.disk, b.devices[input]));
+      b.pages_read += pages;
+    }
+    // Batched pairwise intersection: the columns are already contiguous
+    // Segment arrays, so each (x, y) input pair runs one flat pass whose
+    // mask is ANDed into the per-row alive mask. The predicates are pure,
+    // so dropping the scalar loop's short-circuit cannot change which
+    // tuples survive.
+    const uint64_t rows = b.hi - b.lo;
+    std::vector<uint8_t> alive(rows, 1), pair_mask(rows);
+    for (size_t x = 0; x < k; ++x) {
+      for (size_t y = x + 1; y < k; ++y) {
+        BatchSegmentsIntersect(kernel_mode, geom[x].data(), geom[y].data(),
+                               rows, pair_mask.data());
+        for (uint64_t row = 0; row < rows; ++row) alive[row] &= pair_mask[row];
+      }
+    }
+    for (uint64_t t = b.lo; t < b.hi; ++t) {
+      if (alive[t - b.lo]) {
+        out->Emit(tuples[t]);
+        b.results++;
+      }
+    }
+    return Status::OK();
+  };
+  return RunBatches(tuples.size(), k, stores[0]->pager()->disk()->machine(),
+                    options, arbiter, sink, refine);
 }
 
 }  // namespace sj

@@ -25,12 +25,10 @@ inline constexpr size_t kRefineBytesPerCandidate =
 /// Smallest refinement batch graceful degradation shrinks to.
 inline constexpr uint32_t kMinRefineBatchPairs = 64;
 
-/// Everything measured about one refinement run. Disk counters come from
-/// the per-batch DiskModel shards (a shard starts from fresh disk state,
-/// so modeled I/O depends only on the batch's own page requests, never on
-/// thread scheduling); host_cpu_seconds covers pool workers only —
-/// inline (serial) execution is already on the caller's measured thread,
-/// matching the parallel join engine's convention.
+/// Everything measured about one refinement run. Disk counters are the
+/// per-batch shards' (join/work_units.h), so modeled I/O never depends on
+/// thread scheduling; host_cpu_seconds covers only the batches that ran
+/// on threads other than the caller's, whose own clock holds the rest.
 struct RefineStats {
   /// Candidate pairs/tuples consumed (the filter step's output).
   uint64_t candidates = 0;
@@ -49,10 +47,9 @@ struct RefineStats {
 /// API's other predicates — see join/predicate.h), and emits surviving
 /// pairs to `sink`.
 ///
-/// Batches of options.refine_batch_pairs candidates are independent work
-/// units on the options.num_threads pool; each runs against a private
-/// DiskModel shard and a private sink, merged in batch order afterwards,
-/// so output order and modeled I/O are identical for every thread count.
+/// Batches of options.refine_batch_pairs candidates are work units
+/// (join/work_units.h): output order and modeled I/O are identical for
+/// every thread count and pool.
 Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
                                 const FeatureStore& store_a,
                                 const FeatureStore& store_b,

@@ -170,11 +170,14 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   return future;
 }
 
+bool RunsInline(const ThreadPool* shared, uint32_t num_threads, uint64_t n) {
+  return num_threads <= 1 || n <= 1 ||
+         (shared != nullptr && shared->size() == 0);
+}
+
 Status ParallelFor(ThreadPool* shared, uint32_t num_threads, uint64_t n,
                    const std::function<Status(uint64_t)>& fn) {
-  if (n == 0) return Status::OK();
-  if (num_threads <= 1 || n == 1 ||
-      (shared != nullptr && shared->size() == 0)) {
+  if (RunsInline(shared, num_threads, n)) {
     for (uint64_t i = 0; i < n; ++i) {
       Status s = fn(i);
       if (!s.ok()) return s;

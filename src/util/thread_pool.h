@@ -94,8 +94,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// True when ParallelFor(shared, num_threads, n, ...) runs every index on
+/// the calling thread, in index order: at most one thread or index, or a
+/// shared pool without workers.
+bool RunsInline(const ThreadPool* shared, uint32_t num_threads, uint64_t n);
+
 /// Runs `fn(i)` for every i in [0, n) on up to `num_threads` workers
-/// (<= 1 means inline on the caller). Indices are claimed dynamically, but
+/// (inline on the caller when RunsInline). Indices are claimed dynamically, but
 /// the reported error is the non-OK status with the *lowest index*, so the
 /// Status a caller sees never depends on thread scheduling. Once any task
 /// fails, unclaimed indices are abandoned. Task exceptions propagate to

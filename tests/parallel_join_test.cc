@@ -14,11 +14,13 @@
 #include "join/pbsm.h"
 #include "join/sssj.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace sj {
 namespace {
 
 using testing_util::BruteForcePairs;
+using testing_util::FailingStorageFactory;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
@@ -50,7 +52,8 @@ struct RunResult {
 template <typename JoinFn>
 RunResult RunWithThreads(const std::vector<RectF>& a,
                          const std::vector<RectF>& b, uint32_t threads,
-                         size_t memory_bytes, JoinFn&& join) {
+                         size_t memory_bytes, JoinFn&& join,
+                         ThreadPool* pool = nullptr) {
   TestDisk td;
   std::vector<std::unique_ptr<Pager>> keep;
   const DatasetRef da = MakeDataset(&td, a, "a", &keep);
@@ -58,6 +61,7 @@ RunResult RunWithThreads(const std::vector<RectF>& a,
   JoinOptions options;
   options.memory_bytes = memory_bytes;
   options.num_threads = threads;
+  options.worker_pool = pool;
   CollectingSink sink;
   RunResult result;
   auto stats = join(da, db, &td.disk, options, &sink);
@@ -140,6 +144,82 @@ TEST(ParallelJoin, SSSJStripDeterministicAcrossThreadCounts) {
   }
 }
 
+// Morsel mode: the units run on a shared pool (the service's) with more
+// runners asked for than it has workers, and must match the private
+// serial run pair for pair and in modeled I/O.
+template <typename JoinFn>
+void ExpectSharedPoolMatchesSerial(const std::vector<RectF>& a,
+                                   const std::vector<RectF>& b,
+                                   size_t memory_bytes, JoinFn&& join) {
+  const RunResult serial = RunWithThreads(a, b, 1, memory_bytes, join);
+  EXPECT_GT(serial.stats.partitions_total, 1u);
+  ThreadPool pool(3);
+  for (const uint32_t threads : {2u, 8u}) {
+    const RunResult shared =
+        RunWithThreads(a, b, threads, memory_bytes, join, &pool);
+    EXPECT_EQ(shared.pairs, serial.pairs) << "threads=" << threads;
+    EXPECT_EQ(shared.stats.output_count, serial.stats.output_count);
+    EXPECT_EQ(shared.stats.max_sweep_bytes, serial.stats.max_sweep_bytes);
+    ExpectSameDiskStats(shared.stats.disk, serial.stats.disk, threads);
+  }
+}
+
+TEST(ParallelJoin, PBSMSharedPoolMatchesPrivateSerial) {
+  const RectF region(0, 0, 500, 500);
+  ExpectSharedPoolMatchesSerial(
+      UniformRects(4000, region, 2.0f, 21),
+      UniformRects(4000, region, 2.0f, 22), 48u << 10,
+      [](const DatasetRef& da, const DatasetRef& db, DiskModel* disk,
+         const JoinOptions& options, JoinSink* sink) {
+        return PBSMJoin(da, db, disk, options, sink);
+      });
+}
+
+TEST(ParallelJoin, SSSJStripSharedPoolMatchesPrivateSerial) {
+  const RectF region(0, 0, 500, 500);
+  ExpectSharedPoolMatchesSerial(
+      UniformRects(4000, region, 2.0f, 25),
+      UniformRects(4000, region, 2.0f, 26), 24u << 20,
+      [](const DatasetRef& da, const DatasetRef& db, DiskModel* disk,
+         const JoinOptions& options, JoinSink* sink) {
+        return SSSJStripJoin(da, db, /*strips=*/8, disk, options, sink);
+      });
+}
+
+// A write failure while distributing into unit files, or inside a unit,
+// surfaces as kIoError: no open writer aborts on the way out, and every
+// grant goes back to the caller's arbiter.
+TEST(ParallelJoin, WriteFailureReturnsIoErrorAndReleasesGrants) {
+  const RectF region(0, 0, 500, 500);
+  const auto a = UniformRects(2000, region, 2.0f, 41);
+  const auto b = UniformRects(2000, region, 2.0f, 42);
+  for (const char* prefix :
+       {"pbsm.a.", "pbsm.b.", "sssj.strip.a.", "sssj.strip.b.",
+        "sssj.strip.s"}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(prefix) + " threads=" + std::to_string(threads));
+      TestDisk td;
+      std::vector<std::unique_ptr<Pager>> keep;
+      const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+      const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+      JoinOptions options;
+      options.memory_bytes = 48u << 10;
+      options.num_threads = threads;
+      options.storage = std::make_shared<FailingStorageFactory>(prefix);
+      MemoryArbiter arbiter(kMinMemoryBytes);
+      CountingSink sink;
+      const Result<JoinStats> stats =
+          std::string(prefix).rfind("pbsm.", 0) == 0
+              ? PBSMJoin(da, db, &td.disk, options, &sink, nullptr, nullptr,
+                         &arbiter)
+              : SSSJStripJoin(da, db, /*strips=*/8, &td.disk, options, &sink,
+                              &arbiter);
+      EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
+      EXPECT_EQ(arbiter.in_use(), 0u);
+    }
+  }
+}
+
 std::vector<std::vector<ObjectId>> SortedTuples(
     std::vector<std::vector<ObjectId>> tuples) {
   std::sort(tuples.begin(), tuples.end());
@@ -156,7 +236,7 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
     inputs.push_back(std::move(rects));
   }
 
-  auto run = [&](uint32_t threads) {
+  auto run = [&](uint32_t threads, ThreadPool* pool = nullptr) {
     TestDisk td;
     std::vector<std::unique_ptr<Pager>> keep;
     std::vector<DatasetRef> refs;
@@ -168,6 +248,7 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
     }
     JoinOptions options;
     options.num_threads = threads;
+    options.worker_pool = pool;
     CollectingTupleSink sink;
     auto stats =
         MultiwayJoinStreams(refs, extent, &td.disk, options, &sink);
@@ -182,6 +263,13 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
     EXPECT_EQ(parallel.first, serial.first) << "threads=" << threads;
     EXPECT_EQ(parallel.second.output_count, serial.second.output_count);
     ExpectSameDiskStats(parallel.second.disk, serial.second.disk, threads);
+  }
+  ThreadPool pool(3);  // Morsel mode, as in the service.
+  for (const uint32_t threads : {2u, 8u}) {
+    const auto shared = run(threads, &pool);
+    EXPECT_EQ(shared.first, serial.first) << "shared threads=" << threads;
+    EXPECT_EQ(shared.second.output_count, serial.second.output_count);
+    ExpectSameDiskStats(shared.second.disk, serial.second.disk, threads);
   }
 
   // The strip decomposition must agree with the serial left-deep chain.
@@ -205,6 +293,30 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
                                          JoinOptions(), &chain_sink);
   ASSERT_TRUE(chain_stats.ok());
   EXPECT_EQ(SortedTuples(serial.first), SortedTuples(chain_sink.tuples()));
+}
+
+TEST(ParallelJoin, MultiwayStripWriteFailureReturnsIoError) {
+  const RectF region(0, 0, 200, 200);
+  for (const uint32_t threads : {1u, 4u}) {
+    TestDisk td;
+    std::vector<std::unique_ptr<Pager>> keep;
+    std::vector<DatasetRef> refs;
+    RectF extent = RectF::Empty();
+    for (uint64_t k = 0; k < 3; ++k) {
+      auto rects = UniformRects(1500, region, 6.0f, 51 + k);
+      std::sort(rects.begin(), rects.end(), OrderByYLo());
+      refs.push_back(MakeDataset(&td, rects, "in" + std::to_string(k), &keep));
+      extent.ExtendTo(refs.back().extent);
+    }
+    JoinOptions options;
+    options.num_threads = threads;
+    options.storage = std::make_shared<FailingStorageFactory>("multiway.");
+    CountingTupleSink sink;
+    const Result<MultiwayStats> stats =
+        MultiwayJoinStreams(refs, extent, &td.disk, options, &sink);
+    EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "datagen/synthetic.h"
 #include "refine/feature_store.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace sj {
 namespace {
@@ -178,6 +179,45 @@ TEST(Refine, PairsMatchBruteForceAndAreThreadInvariant) {
       EXPECT_TRUE(SameDiskStats(stats->disk, reference.disk))
           << threads << " threads";
     }
+  }
+}
+
+// Morsel mode: refinement batches on a shared pool (the service's), with
+// more runners asked for than it has workers, match the private serial
+// run in output order, pages and modeled I/O.
+TEST(Refine, PairsOnSharedPoolMatchPrivateSerial) {
+  TestDisk td;
+  const RectF region(0, 0, 300, 300);
+  const auto a = UniformRects(900, region, 3.0f, 23);
+  const auto b = UniformRects(800, region, 4.0f, 24);
+  auto pager_a = td.NewPager("geom.a");
+  auto pager_b = td.NewPager("geom.b");
+  auto store_a = FeatureStore::Build(pager_a.get(), SegmentsForRects(a), "a");
+  auto store_b = FeatureStore::Build(pager_b.get(), SegmentsForRects(b), "b");
+  ASSERT_TRUE(store_a.ok() && store_b.ok());
+  const std::vector<IdPair> candidates = BruteForcePairs(a, b);
+
+  auto run = [&](uint32_t threads, ThreadPool* pool, CollectingSink* sink) {
+    JoinOptions options;
+    options.num_threads = threads;
+    options.worker_pool = pool;
+    options.refine_batch_pairs = 128;  // Several batches per run.
+    auto stats = RefinePairs(candidates, *store_a, *store_b, options, sink);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return *stats;
+  };
+  CollectingSink serial_sink;
+  const RefineStats serial = run(1, nullptr, &serial_sink);
+  ASSERT_FALSE(serial_sink.pairs().empty());
+  ThreadPool pool(3);
+  for (const uint32_t threads : {2u, 8u}) {
+    CollectingSink sink;
+    const RefineStats shared = run(threads, &pool, &sink);
+    EXPECT_EQ(sink.pairs(), serial_sink.pairs()) << threads << " threads";
+    EXPECT_EQ(shared.results, serial.results);
+    EXPECT_EQ(shared.pages_read, serial.pages_read);
+    EXPECT_TRUE(SameDiskStats(shared.disk, serial.disk))
+        << threads << " threads";
   }
 }
 

@@ -8,9 +8,12 @@
 
 #include "io/pager.h"
 #include "io/stream.h"
+#include "test_util.h"
 
 namespace sj {
 namespace {
+
+using testing_util::FailingBackend;
 
 void FillPattern(uint8_t* buf, uint8_t seed) {
   for (size_t i = 0; i < kPageSize; ++i) {
@@ -235,25 +238,6 @@ TEST(MakePager, NullFactoryMeansMemory) {
 }
 
 // --- StreamWriter error paths ------------------------------------------
-
-/// Backend whose writes start failing on demand — drives the stream
-/// writer's sticky-error and abandon paths.
-class FailingBackend final : public StorageBackend {
- public:
-  Status ReadPage(uint64_t page, void* buf) override {
-    return inner_.ReadPage(page, buf);
-  }
-  Status WritePage(uint64_t page, const void* buf) override {
-    if (fail_writes) return Status::IoError("injected write failure");
-    return inner_.WritePage(page, buf);
-  }
-  uint64_t PageCount() const override { return inner_.PageCount(); }
-
-  bool fail_writes = false;
-
- private:
-  MemoryBackend inner_;
-};
 
 TEST(StreamWriter, FinishSurfacesDeferredFlushError) {
   DiskModel disk(MachineModel::Machine3());

@@ -6,12 +6,15 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/rect.h"
 #include "geometry/segment.h"
 #include "io/disk_model.h"
 #include "io/pager.h"
+#include "io/storage.h"
 #include "io/stream.h"
 #include "join/join_types.h"
 #include "sort/external_sort.h"
@@ -53,6 +56,48 @@ inline std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
+
+/// Backend whose writes start failing on demand — drives the stream
+/// writer's sticky-error and abandon paths.
+class FailingBackend final : public StorageBackend {
+ public:
+  Status ReadPage(uint64_t page, void* buf) override {
+    return inner_.ReadPage(page, buf);
+  }
+  Status WritePage(uint64_t page, const void* buf) override {
+    if (fail_writes) return Status::IoError("injected write failure");
+    return inner_.WritePage(page, buf);
+  }
+  uint64_t PageCount() const override { return inner_.PageCount(); }
+
+  bool fail_writes = false;
+
+ private:
+  MemoryBackend inner_;
+};
+
+/// Scratch storage whose files fail every write when their name starts
+/// with `fail_prefix` (an empty prefix fails them all) — drives a join's
+/// distribution and work-unit error paths.
+class FailingStorageFactory final : public StorageFactory {
+ public:
+  explicit FailingStorageFactory(std::string fail_prefix)
+      : fail_prefix_(std::move(fail_prefix)) {}
+
+  Result<std::unique_ptr<StorageBackend>> Create(
+      const std::string& name) override {
+    auto backend = std::make_unique<FailingBackend>();
+    backend->fail_writes =
+        name.compare(0, fail_prefix_.size(), fail_prefix_) == 0;
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  }
+  std::string description() const override {
+    return "failing:" + fail_prefix_;
+  }
+
+ private:
+  std::string fail_prefix_;
+};
 
 /// A sink whose first Emit blocks until the test releases it — the lever
 /// for holding a query "running" (budget occupied) while others queue.
